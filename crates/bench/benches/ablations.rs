@@ -23,26 +23,28 @@ use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use validrtf::engine::AlgorithmKind;
-use xks_bench::{xmark_engine, Scale};
+use xks_bench::{xmark_engine, xmark_tree, Scale};
 use xks_datagen::XmarkSize;
-use xks_index::Query;
+use xks_index::{InvertedIndex, Query};
 use xks_lca::naive::naive_elca;
 use xks_lca::{elca_candidate_rmq, elca_stack, indexed_lookup_eager, scan_eager};
 use xks_xmltree::content::node_content;
 
-fn heavy_sets(
-    engine: &validrtf::engine::SearchEngine,
-    keywords: &str,
-) -> xks_index::KeywordNodeSets {
+/// The small XMark-alike corpus's inverted index.
+fn xmark_index() -> InvertedIndex {
+    InvertedIndex::build(&xmark_tree(Scale::Small, XmarkSize::Standard))
+}
+
+fn heavy_sets(index: &InvertedIndex, keywords: &str) -> xks_index::KeywordNodeSets {
     let query = Query::parse(keywords).expect("parses");
-    engine.index().resolve(&query).expect("keywords present")
+    index.resolve(&query).expect("keywords present")
 }
 
 fn ablate_lca(c: &mut Criterion) {
-    let engine = xmark_engine(Scale::Small, XmarkSize::Standard);
+    let index = xmark_index();
     // A moderate query for the naive oracle, a heavy one for the others.
-    let light = heavy_sets(&engine, "particle threshold");
-    let heavy = heavy_sets(&engine, "preventions description order");
+    let light = heavy_sets(&index, "particle threshold");
+    let heavy = heavy_sets(&index, "preventions description order");
 
     let mut group = c.benchmark_group("ablate_lca");
     group.sample_size(10);
@@ -114,8 +116,7 @@ fn ablate_knum(c: &mut Criterion) {
 fn ablate_cid(c: &mut Criterion) {
     // Rule 2(b) equality: (min,max) feature vs full content-set compare,
     // over the description texts of the XMark corpus.
-    let engine = xmark_engine(Scale::Small, XmarkSize::Standard);
-    let tree = engine.tree();
+    let tree = &xmark_tree(Scale::Small, XmarkSize::Standard);
     let contents: Vec<BTreeSet<String>> = tree
         .preorder()
         .filter(|&id| tree.label_name(id) == "text")
@@ -168,8 +169,7 @@ fn ablate_getrtf_check(c: &mut Criterion) {
     use validrtf::{get_rtf, get_rtf_unchecked};
     use xks_lca::elca_stack;
 
-    let engine = xmark_engine(Scale::Small, XmarkSize::Standard);
-    let sets = heavy_sets(&engine, "preventions description order");
+    let sets = heavy_sets(&xmark_index(), "preventions description order");
     let anchors = elca_stack(sets.sets());
 
     let mut group = c.benchmark_group("ablate_getrtf_check");

@@ -61,29 +61,17 @@ const SEED: u64 = 2009;
 struct NoStats(IndexReader);
 
 impl CorpusSource for NoStats {
-    fn keyword_deweys(&self, keyword: &str) -> Vec<Dewey> {
+    fn keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
         self.0.keyword_deweys(keyword)
     }
-    fn element(&self, dewey: &Dewey) -> Option<SourceElement> {
+    fn element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
         CorpusSource::element(&self.0, dewey)
     }
-    fn element_label(&self, dewey: &Dewey) -> Option<u32> {
+    fn element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
         self.0.element_label(dewey)
     }
     fn label_name(&self, label: u32) -> Option<String> {
         self.0.label_name(label)
-    }
-    fn node_count(&self) -> usize {
-        self.0.node_count()
-    }
-    fn try_keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
-        CorpusSource::try_keyword_deweys(&self.0, keyword)
-    }
-    fn try_element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
-        CorpusSource::try_element(&self.0, dewey)
-    }
-    fn try_element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
-        CorpusSource::try_element_label(&self.0, dewey)
     }
 }
 

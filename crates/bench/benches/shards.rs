@@ -1,25 +1,14 @@
 //! Shard-count sweep: aggregate queries/sec over the 43-query
 //! Figure 5/6 workload against partitioned `.xks` corpora at 1/2/4/8
-//! shards, on two sharded execution paths:
-//!
-//! * **scatter** — `SearchEngine::from_shard_set` fanning keyword
-//!   resolution and fragment construction out across shards (fan-out
-//!   = min(shard count, available parallelism));
-//! * **routed** — the same `ShardedCorpus` as a serial routing
-//!   `CorpusSource` (`SearchEngine::from_source`), isolating the cost
-//!   of the shard indirection itself.
-//!
-//! The recorded **single-shard baseline** is the unsharded monolithic
-//! `.xks` reader on the same corpora — the number the sweep is judged
-//! against. Every configuration is sanity-checked to return the same
-//! fragment total before anything is timed (byte-level equality is the
-//! job of `tests/sharded_differential.rs`).
+//! shards, searched through the routed `ShardSet`
+//! (`SearchEngine::from_shard_set`), against the unsharded monolithic
+//! `.xks` reader on the same corpora — the baseline the sweep is
+//! judged against. Every configuration is sanity-checked to return
+//! the same fragment total before anything is timed (byte-level
+//! equality is the job of `tests/sharded_differential.rs`).
 //!
 //! Results land in `BENCH_shards.json` at the workspace root together
-//! with `available_parallelism` — on a 1-core container scatter ≈
-//! routed ≈ baseline (the sweep still proves correctness under the
-//! fan-out); multi-core runners show the scatter path pulling ahead as
-//! shards add I/O parallelism.
+//! with `available_parallelism`.
 //!
 //! ```sh
 //! cargo bench -p xks-bench --bench shards            # full run
@@ -181,7 +170,6 @@ fn main() {
 
     let mut rows = String::new();
     for (i, &shards) in SHARD_SWEEP.iter().enumerate() {
-        let mut scatter_engines: Vec<(SearchEngine, &[SearchRequest])> = Vec::new();
         let mut routed_engines: Vec<(SearchEngine, &[SearchRequest])> = Vec::new();
         let mut total_bytes = 0u64;
         let mut actual_shards = 0usize;
@@ -191,25 +179,14 @@ fn main() {
             total_bytes += summary.total_file_len();
             actual_shards = actual_shards.max(summary.manifest.shards.len());
             let corpus = ShardedCorpus::open(&manifest).unwrap();
-            scatter_engines.push((
+            routed_engines.push((
                 SearchEngine::from_shard_set(corpus.shard_set()),
                 c.requests.as_slice(),
             ));
-            routed_engines.push((
-                SearchEngine::from_owned_source(corpus),
-                c.requests.as_slice(),
-            ));
         }
-        // Sanity before timing: both sharded paths agree with baseline.
-        assert_eq!(expect, sweep(&scatter_engines), "{shards} shards scatter");
+        // Sanity before timing: the sharded path agrees with baseline.
         assert_eq!(expect, sweep(&routed_engines), "{shards} shards routed");
 
-        let scatter = measure(
-            &format!("{shards}shards/scatter"),
-            total_queries,
-            smoke,
-            || sweep(&scatter_engines),
-        );
         let routed = measure(
             &format!("{shards}shards/routed"),
             total_queries,
@@ -220,11 +197,10 @@ fn main() {
         let _ = writeln!(
             rows,
             "    {{ \"shards\": {shards}, \"actual_shards\": {actual_shards}, \
-             \"scatter_qps\": {}, \"routed_qps\": {}, \
-             \"scatter_vs_baseline\": {}, \"total_index_bytes\": {total_bytes} }}{sep}",
-            jnum(scatter),
+             \"routed_qps\": {}, \"routed_vs_baseline\": {}, \
+             \"total_index_bytes\": {total_bytes} }}{sep}",
             jnum(routed),
-            jnum(scatter / baseline),
+            jnum(routed / baseline),
         );
     }
 
@@ -238,10 +214,9 @@ fn main() {
          \"xmark_base_items\": {XMARK_BASE_ITEMS},\n    \"seed\": {SEED}\n  }},\n  \
          \"baseline_unsharded_qps\": {base},\n  \
          \"shard_sweep\": [\n{rows}  ],\n  \
-         \"note\": \"scatter = from_shard_set fan-out (min(shards, cores) threads/query); \
-         routed = serial ShardedCorpus source; baseline = monolithic .xks. \
-         Expect scatter ≈ baseline on 1 core and scatter > baseline as cores and shards grow; \
-         results are byte-identical in every configuration (tests/sharded_differential.rs).\"\n}}\n",
+         \"note\": \"routed = from_shard_set over the ShardedCorpus readers; \
+         baseline = monolithic .xks; results are byte-identical in every configuration \
+         (tests/sharded_differential.rs).\"\n}}\n",
         base = jnum(baseline),
     );
     std::fs::write(&path, json).unwrap();

@@ -13,10 +13,12 @@
 //! cargo run --release -p xks-bench --bin repro -- --freq       # frequency table only
 //! ```
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use validrtf::engine::{AlgorithmKind, SearchEngine};
-use xks_bench::{dataset_name, dblp_engine, xmark_engine, Scale};
+use validrtf::TreeCorpus;
+use xks_bench::{dataset_name, dblp_tree, xmark_tree, Scale};
 use xks_datagen::freq::{PAPER_DBLP_FREQS, PAPER_XMARK_FREQS};
 use xks_datagen::queries::{dblp_workload, xmark_workload};
 use xks_datagen::XmarkSize;
@@ -57,11 +59,10 @@ fn main() {
 
     if want("dblp") {
         eprintln!("[repro] building dblp-alike at {scale:?}…");
-        let engine = dblp_engine(scale);
-        if freq_only {
-            frequency_table_dblp(&engine);
-        } else {
-            frequency_table_dblp(&engine);
+        let corpus = Arc::new(TreeCorpus::new(dblp_tree(scale)));
+        frequency_table_dblp(&corpus);
+        if !freq_only {
+            let engine = SearchEngine::from_source(corpus);
             run_dataset("dblp", &engine, &dblp_workload());
         }
     }
@@ -77,21 +78,20 @@ fn main() {
             "[repro] building {}-alike at {scale:?}…",
             dataset_name(size)
         );
-        let engine = xmark_engine(scale, size);
-        if freq_only {
-            frequency_table_xmark(&engine, size);
-        } else {
-            frequency_table_xmark(&engine, size);
+        let corpus = Arc::new(TreeCorpus::new(xmark_tree(scale, size)));
+        frequency_table_xmark(&corpus, size);
+        if !freq_only {
+            let engine = SearchEngine::from_source(corpus);
             run_dataset(dataset_name(size), &engine, &xmark_workload());
         }
     }
 }
 
 /// §5.1 keyword table: paper frequency vs planted (scaled) frequency.
-fn frequency_table_dblp(engine: &SearchEngine) {
+fn frequency_table_dblp(corpus: &TreeCorpus) {
     println!(
         "\n## Keyword frequencies — dblp ({} nodes)",
-        engine.tree().len()
+        corpus.tree().len()
     );
     println!("{:<16} {:>10} {:>10}", "keyword", "paper", "generated");
     for (kw, paper) in PAPER_DBLP_FREQS {
@@ -99,16 +99,16 @@ fn frequency_table_dblp(engine: &SearchEngine) {
             "{:<16} {:>10} {:>10}",
             kw,
             paper,
-            engine.index().frequency(kw)
+            corpus.index().frequency(kw)
         );
     }
 }
 
-fn frequency_table_xmark(engine: &SearchEngine, size: XmarkSize) {
+fn frequency_table_xmark(corpus: &TreeCorpus, size: XmarkSize) {
     println!(
         "\n## Keyword frequencies — {} ({} nodes)",
         dataset_name(size),
-        engine.tree().len()
+        corpus.tree().len()
     );
     println!("{:<16} {:>10} {:>10}", "keyword", "paper", "generated");
     for (kw, freqs) in PAPER_XMARK_FREQS {
@@ -116,7 +116,7 @@ fn frequency_table_xmark(engine: &SearchEngine, size: XmarkSize) {
             "{:<16} {:>10} {:>10}",
             kw,
             freqs[size.column()],
-            engine.index().frequency(kw)
+            corpus.index().frequency(kw)
         );
     }
 }

@@ -10,6 +10,7 @@
 
 use validrtf::engine::SearchEngine;
 use xks_datagen::{generate_dblp, generate_xmark, DblpConfig, XmarkConfig, XmarkSize};
+use xks_xmltree::XmlTree;
 
 /// Benchmark scale presets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,25 +59,35 @@ impl Scale {
 /// Deterministic seed shared by the whole harness.
 pub const HARNESS_SEED: u64 = 2009;
 
+/// Generates the DBLP-alike corpus.
+#[must_use]
+pub fn dblp_tree(scale: Scale) -> XmlTree {
+    generate_dblp(&DblpConfig::with_records(
+        scale.dblp_records(),
+        HARNESS_SEED,
+    ))
+}
+
+/// Generates one XMark-alike corpus of the ladder.
+#[must_use]
+pub fn xmark_tree(scale: Scale, size: XmarkSize) -> XmlTree {
+    generate_xmark(&XmarkConfig::sized(
+        size,
+        scale.xmark_base_items(),
+        HARNESS_SEED,
+    ))
+}
+
 /// Builds the DBLP-alike engine.
 #[must_use]
 pub fn dblp_engine(scale: Scale) -> SearchEngine {
-    let tree = generate_dblp(&DblpConfig::with_records(
-        scale.dblp_records(),
-        HARNESS_SEED,
-    ));
-    SearchEngine::new(tree)
+    SearchEngine::new(dblp_tree(scale))
 }
 
 /// Builds one XMark-alike engine of the ladder.
 #[must_use]
 pub fn xmark_engine(scale: Scale, size: XmarkSize) -> SearchEngine {
-    let tree = generate_xmark(&XmarkConfig::sized(
-        size,
-        scale.xmark_base_items(),
-        HARNESS_SEED,
-    ));
-    SearchEngine::new(tree)
+    SearchEngine::new(xmark_tree(scale, size))
 }
 
 /// Dataset labels as the paper names them.
@@ -103,9 +114,10 @@ mod tests {
 
     #[test]
     fn small_engines_build() {
-        let d = dblp_engine(Scale::Small);
-        assert!(d.tree().len() > 10_000);
-        let x = xmark_engine(Scale::Small, XmarkSize::Standard);
-        assert!(x.tree().len() > 3_000);
+        assert!(dblp_tree(Scale::Small).len() > 10_000);
+        assert!(xmark_tree(Scale::Small, XmarkSize::Standard).len() > 3_000);
+        let engine = xmark_engine(Scale::Small, XmarkSize::Standard);
+        let request = validrtf::SearchRequest::parse("preventions description").unwrap();
+        assert!(!engine.execute(&request).unwrap().hits.is_empty());
     }
 }

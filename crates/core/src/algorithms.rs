@@ -26,7 +26,6 @@ use crate::fragment::Fragment;
 use crate::prune::{prune, Policy};
 use crate::rtf::{get_rtf_from_merged, Rtf};
 use crate::scratch::QueryContext;
-use crate::source::CorpusSource;
 
 /// Which anchor semantics stage 2 uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,8 +166,7 @@ pub(crate) fn anchor_stages(
 }
 
 /// Like [`run_from_sets`] but reusing a caller-owned per-thread
-/// [`QueryContext`] — the warm-engine entry point
-/// [`crate::engine::SearchEngine`] and the [`crate::executor`] use.
+/// [`QueryContext`].
 #[must_use]
 pub fn run_from_sets_with_context(
     tree: &XmlTree,
@@ -182,71 +180,6 @@ pub fn run_from_sets_with_context(
 
     let t = Instant::now();
     let raw: Vec<Fragment> = rtfs.iter().map(|r| Fragment::construct(tree, r)).collect();
-    let fragments: Vec<Fragment> = raw.iter().map(|f| prune(f, policy)).collect();
-    timings.prune_rtf = t.elapsed();
-
-    RunOutput {
-        fragments,
-        raw,
-        rtfs,
-        timings,
-    }
-}
-
-/// Like [`run`] but over a [`CorpusSource`] (shredded tables or an
-/// opened on-disk index) instead of a parsed tree + in-memory index.
-/// The staged pipeline is identical; only where node facts come from
-/// differs, so results are byte-identical across backends storing the
-/// same shredded corpus.
-#[must_use]
-pub fn run_source(
-    source: &dyn CorpusSource,
-    query: &Query,
-    anchors: AnchorSemantics,
-    policy: Policy,
-) -> Option<RunOutput> {
-    let mut timings = StageTimings::default();
-
-    let t0 = Instant::now();
-    let sets = source.resolve(query)?;
-    timings.get_keyword_nodes = t0.elapsed();
-
-    Some(run_from_sets_source(
-        source, &sets, anchors, policy, timings,
-    ))
-}
-
-/// Like [`run_from_sets`] but over a [`CorpusSource`].
-#[must_use]
-pub fn run_from_sets_source(
-    source: &dyn CorpusSource,
-    sets: &KeywordNodeSets,
-    anchors: AnchorSemantics,
-    policy: Policy,
-    timings: StageTimings,
-) -> RunOutput {
-    let mut ctx = QueryContext::default();
-    run_from_sets_source_with_context(source, sets, anchors, policy, timings, &mut ctx)
-}
-
-/// Like [`run_from_sets_source`] but reusing a caller-owned per-thread
-/// [`QueryContext`].
-#[must_use]
-pub fn run_from_sets_source_with_context(
-    source: &dyn CorpusSource,
-    sets: &KeywordNodeSets,
-    anchors: AnchorSemantics,
-    policy: Policy,
-    mut timings: StageTimings,
-    ctx: &mut QueryContext,
-) -> RunOutput {
-    let rtfs = anchor_stages(sets, anchors, AnchorExec::Merge, &mut timings, ctx);
-
-    let t = Instant::now();
-    let raw: Vec<Fragment> = rtfs
-        .iter()
-        .map(|r| Fragment::construct_from_source(source, r))
-        .collect();
     let fragments: Vec<Fragment> = raw.iter().map(|f| prune(f, policy)).collect();
     timings.prune_rtf = t.elapsed();
 

@@ -1,11 +1,11 @@
-//! The search engine: one object owning document + index, executing
+//! The search engine: one object owning a corpus, executing
 //! [`SearchRequest`]s through a single pipeline and producing the §5.1
 //! comparison in one call.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use xks_index::{InvertedIndex, KeywordNodeSets, Query, QuerySpec};
+use xks_index::{KeywordNodeSets, Query, QuerySpec};
 use xks_obs::{Counter, Histogram, Stage};
 use xks_xmltree::{Dewey, XmlTree};
 
@@ -16,9 +16,10 @@ use crate::plan::{choose_driver, choose_strategy, PlanReport, PlanStrategy};
 use crate::prune::{prune_owned, Policy};
 use crate::rank::RankedFragment;
 use crate::request::{Hit, SearchError, SearchRequest, SearchResponse, SearchStats, SearchTimeout};
+use crate::rtf::Rtf;
 use crate::scratch::QueryContext;
 use crate::shards::ShardSet;
-use crate::source::CorpusSource;
+use crate::source::{CorpusSource, TreeCorpus};
 
 /// Which end-to-end algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,15 +48,6 @@ impl AlgorithmKind {
     }
 }
 
-/// A search result: fragments plus timing.
-#[derive(Debug, Clone)]
-pub struct SearchResult {
-    /// The meaningful fragments.
-    pub fragments: Vec<Fragment>,
-    /// Elapsed time, broken down per stage.
-    pub timings: StageTimings,
-}
-
 /// The per-query comparison of ValidRTF against the revised MaxMatch —
 /// one data point of Figures 5 and 6.
 #[derive(Debug, Clone)]
@@ -70,47 +62,28 @@ pub struct Comparison {
     pub effectiveness: Effectiveness,
 }
 
-/// The storage behind an engine: a parsed tree with its in-memory
-/// inverted index, any [`CorpusSource`] backend (shredded tables, an
-/// `xks-persist` on-disk index, …), or a [`ShardSet`] searched with
-/// scatter-gather (keyword resolution fanned out per shard, fragment
-/// construction fanned out per RTF, anchors computed globally — see
-/// [`crate::shards`] for why that split is what keeps sharded results
-/// byte-identical).
-#[derive(Debug)]
-enum Backend {
-    Tree {
-        tree: XmlTree,
-        index: InvertedIndex,
-    },
-    Source(Arc<dyn CorpusSource>),
-    Sharded {
-        set: Arc<ShardSet>,
-        /// Worker threads each scatter stage fans out to (1 = inline).
-        threads: usize,
-    },
-}
-
-/// Document + index, ready to answer keyword queries.
+/// A corpus, ready to answer keyword queries.
+///
+/// Every engine runs the same pipeline over one [`CorpusSource`]: a
+/// parsed tree ([`SearchEngine::new`]), shredded tables or an on-disk
+/// index ([`SearchEngine::from_source`]), or a routed shard set
+/// ([`SearchEngine::from_shard_set`]).
 ///
 /// `SearchEngine` is the shared **immutable** half of the read path —
 /// it is `Send + Sync` and designed to be queried from many threads at
 /// once (see [`crate::executor`]). All per-query mutable state lives in
-/// a [`QueryContext`]:
-///
-/// * [`SearchEngine::search_with`] takes an explicit `&mut
-///   QueryContext` — the per-thread, lock-free path the concurrent
-///   executor uses;
-/// * [`SearchEngine::search`] keeps the convenient `&self` signature by
-///   checking a context in and out of a small internal pool (one
-///   uncontended `Mutex` lock per query, never held across the query).
+/// a [`QueryContext`]: [`SearchEngine::execute_with`] takes one
+/// explicitly (the per-thread, lock-free path the concurrent executor
+/// uses), and [`SearchEngine::execute`] checks one in and out of a
+/// small internal pool (one uncontended `Mutex` lock each way, never
+/// held across the query).
 ///
 /// A warm context answers queries without heap allocation in the
 /// anchor pipeline (asserted by the workspace's counting-allocator
 /// test).
 #[derive(Debug)]
 pub struct SearchEngine {
-    backend: Backend,
+    source: Arc<dyn CorpusSource>,
     /// Pool of warm contexts for the `&self` entry points. Capped so a
     /// burst of threads cannot pin unbounded scratch memory.
     contexts: Mutex<Vec<QueryContext>>,
@@ -126,29 +99,24 @@ const CONTEXT_POOL_CAP: usize = 64;
 
 impl SearchEngine {
     /// Builds the engine from a parsed tree (index construction happens
-    /// here).
+    /// here) — a [`TreeCorpus`] over the tree and its inverted index.
+    /// Callers that also need the tree afterwards (to render original
+    /// text) build the [`TreeCorpus`] themselves and share it through
+    /// [`SearchEngine::from_source`].
     #[must_use]
     pub fn new(tree: XmlTree) -> Self {
-        let index = InvertedIndex::build(&tree);
-        SearchEngine {
-            backend: Backend::Tree { tree, index },
-            contexts: Mutex::new(Vec::new()),
-            metrics: EngineMetrics::from_global(),
-        }
+        Self::from_source(Arc::new(TreeCorpus::new(tree)))
     }
 
     /// Builds the engine over a **shared** [`CorpusSource`] backend —
     /// the index-handle form: one opened corpus (e.g. an
     /// `xks_persist::IndexReader` with its buffer pool and caches) can
     /// back any number of engines and outside observers without
-    /// reopening the file. ValidRTF / MaxMatch run against the source's
-    /// stored postings and node facts — identical results to the tree
-    /// path for the same corpus, without requiring the parsed document
-    /// in memory.
+    /// reopening the file.
     #[must_use]
     pub fn from_source(source: Arc<dyn CorpusSource>) -> Self {
         SearchEngine {
-            backend: Backend::Source(source),
+            source,
             contexts: Mutex::new(Vec::new()),
             metrics: EngineMetrics::from_global(),
         }
@@ -162,115 +130,18 @@ impl SearchEngine {
         Self::from_source(Arc::new(source))
     }
 
-    /// Builds the engine over a sharded corpus, searched with
-    /// **scatter-gather**: keyword resolution fans out one task per
-    /// (keyword × shard) and fragment construction one task per RTF,
-    /// both over the work-stealing cursor pattern of
-    /// [`crate::executor`] with warm [`QueryContext`]s drawn from the
-    /// engine pool; the anchor stages stay a single global pass, which
-    /// is what keeps results byte-identical to the unsharded engine
-    /// (see [`crate::shards`]).
-    ///
-    /// The fan-out defaults to
-    /// `min(shard count, available parallelism)`; override it with
-    /// [`SearchEngine::with_scatter_threads`] (1 runs every stage
-    /// inline — same results, no spawns).
-    ///
-    /// Cost model: each scattered stage spawns scoped OS threads per
-    /// query (there is no persistent worker pool yet), so the fan-out
-    /// pays a fixed ~tens-of-µs spawn/join cost per query. That is
-    /// noise for disk-bound or large queries — the scatter's target —
-    /// but can dominate sub-100µs warm in-memory queries; set the
-    /// fan-out to 1 for those (or batch them through
-    /// [`crate::executor::run_batch`], which amortizes its spawns over
-    /// the whole batch and leaves per-query scatter off by default
-    /// when you pass `with_scatter_threads(1)` engines).
+    /// Builds the engine over a sharded corpus: the [`ShardSet`] is
+    /// itself a routing [`CorpusSource`] (see [`crate::shards`]), so
+    /// this is [`SearchEngine::from_source`] over the set.
     #[must_use]
     pub fn from_shard_set(set: ShardSet) -> Self {
-        let parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        let threads = set.shard_count().min(parallelism).max(1);
-        SearchEngine {
-            backend: Backend::Sharded {
-                set: Arc::new(set),
-                threads,
-            },
-            contexts: Mutex::new(Vec::new()),
-            metrics: EngineMetrics::from_global(),
-        }
+        Self::from_source(Arc::new(set))
     }
 
-    /// Overrides the scatter fan-out of a sharded engine (clamped to
-    /// ≥ 1; no-op for unsharded backends). Note the fan-out is *per
-    /// query*: a batch run through [`crate::executor::run_batch`] with
-    /// `T` worker threads over a sharded engine with `S` scatter
-    /// threads may run up to `T × S` workers at once.
+    /// The corpus this engine searches (label names, rendering).
     #[must_use]
-    pub fn with_scatter_threads(mut self, threads: usize) -> Self {
-        if let Backend::Sharded { threads: t, .. } = &mut self.backend {
-            *t = threads.max(1);
-        }
-        self
-    }
-
-    /// The scatter fan-out of a sharded engine (`None` for unsharded
-    /// backends).
-    #[must_use]
-    pub fn scatter_threads(&self) -> Option<usize> {
-        match &self.backend {
-            Backend::Sharded { threads, .. } => Some(*threads),
-            _ => None,
-        }
-    }
-
-    /// The shard set of a sharded engine (`None` otherwise).
-    #[must_use]
-    pub fn shard_set(&self) -> Option<&ShardSet> {
-        match &self.backend {
-            Backend::Sharded { set, .. } => Some(set),
-            _ => None,
-        }
-    }
-
-    /// The underlying document.
-    ///
-    /// # Panics
-    /// Panics for engines built with [`SearchEngine::from_source`]
-    /// (there is no parsed tree); use [`SearchEngine::corpus`] instead.
-    #[must_use]
-    pub fn tree(&self) -> &XmlTree {
-        match &self.backend {
-            Backend::Tree { tree, .. } => tree,
-            Backend::Source(_) | Backend::Sharded { .. } => {
-                panic!("SearchEngine::tree() on a source-backed engine")
-            }
-        }
-    }
-
-    /// The underlying inverted index.
-    ///
-    /// # Panics
-    /// Panics for engines built with [`SearchEngine::from_source`];
-    /// use [`SearchEngine::corpus`] instead.
-    #[must_use]
-    pub fn index(&self) -> &InvertedIndex {
-        match &self.backend {
-            Backend::Tree { index, .. } => index,
-            Backend::Source(_) | Backend::Sharded { .. } => {
-                panic!("SearchEngine::index() on a source-backed engine")
-            }
-        }
-    }
-
-    /// The corpus source for source-backed engines (`None` for
-    /// tree-backed ones). Sharded engines expose their [`ShardSet`] —
-    /// itself a routing [`CorpusSource`] over the whole corpus.
-    #[must_use]
-    pub fn corpus(&self) -> Option<&dyn CorpusSource> {
-        match &self.backend {
-            Backend::Tree { .. } => None,
-            Backend::Source(source) => Some(source.as_ref()),
-            Backend::Sharded { set, .. } => Some(set.as_ref() as &dyn CorpusSource),
-        }
+    pub fn corpus(&self) -> &dyn CorpusSource {
+        self.source.as_ref()
     }
 
     /// Executes a [`SearchRequest`] — **the** entry point of the read
@@ -287,11 +158,12 @@ impl SearchEngine {
     /// Executes a [`SearchRequest`] with a caller-owned per-thread
     /// [`QueryContext`] — the lock-free path the concurrent
     /// [`crate::executor`] drives. Threads sharing one engine each
-    /// bring their own context; the warm zero-allocation anchor
-    /// pipeline of the legacy path is preserved unchanged (same
-    /// [`QueryContext`] scratch, same staged
-    /// `getKeywordNodes → getLCA → getRTF → pruneRTF` flow; asserted by
-    /// the workspace's counting-allocator test).
+    /// bring their own context; the staged
+    /// `getKeywordNodes → getLCA → getRTF → pruneRTF` flow reuses its
+    /// scratch (asserted by the workspace's counting-allocator test).
+    ///
+    /// Traced and untraced requests run the same loops; an armed trace
+    /// only adds clock reads and span records.
     ///
     /// Every failure comes back typed: grammar errors as
     /// [`SearchError::Parse`] (from [`SearchRequest::parse`]), backend
@@ -334,36 +206,12 @@ impl SearchEngine {
         let exec_start = Instant::now();
         self.check_deadline(deadline, exec_start, "resolve", &stats)?;
 
-        // getKeywordNodes — the one stage that touches cold storage
-        // (scattered across shards on sharded backends; the recorded
-        // timing is the wall clock of the whole fan-out). Traced
-        // queries resolve keyword by keyword so each postings decode
-        // gets its own span: byte-identical results (the default
-        // `try_resolve` is this same loop, and a sharded set's serial
-        // routed resolution is proven identical to the scatter by the
-        // sharded differential test), at the cost of the scatter's
-        // parallelism for that one query.
+        // getKeywordNodes — the one stage that touches cold storage.
         let t0 = Instant::now();
-        let resolved = match &self.backend {
-            Backend::Tree { index, .. } => index.resolve(spec.query()),
-            Backend::Source(source) if traced => {
-                resolve_traced(source.as_ref(), spec.query(), ctx)?
-            }
-            Backend::Source(source) => source.try_resolve(spec.query())?,
-            Backend::Sharded { set, .. } if traced => {
-                resolve_traced(set.as_ref(), spec.query(), ctx)?
-            }
-            Backend::Sharded { set, threads } => crate::shards::scatter_resolve(
-                self,
-                set,
-                *threads,
-                spec.query(),
-                &mut stats.shards_skipped,
-            )?,
-        };
+        let resolved = self.resolve(spec.query(), &mut stats, ctx)?;
         timings.get_keyword_nodes = t0.elapsed();
         ctx.trace.record_since(Stage::Resolve, t0);
-        let Some(sets) = resolved else {
+        let Some((sets, all_sealed)) = resolved else {
             // Some keyword matches nothing: empty result, not an error.
             self.metrics.observe(&timings, &stats, 0);
             let mut response = SearchResponse::empty(timings, stats);
@@ -377,31 +225,36 @@ impl SearchEngine {
         // lengths and the backend's sealed statistics (scalars only —
         // the warm path stays allocation-free).
         let t_plan = Instant::now();
-        let exec = self.plan_anchor_exec(&sets, &mut stats);
+        let exec = plan_anchor_exec(&sets, all_sealed, &mut stats);
         ctx.trace.record_since(Stage::Plan, t_plan);
 
         // getLCA + getRTF over the context's shared scratch buffers.
         let rtfs = crate::algorithms::anchor_stages(&sets, kind.anchor(), exec, &mut timings, ctx);
         self.check_deadline(deadline, exec_start, "construct", &stats)?;
 
+        // Construct + prune, consuming each raw fragment so no node
+        // payload is deep-cloned.
+        let t = Instant::now();
+        let mut builder = FragmentBuilder::new(self.source.as_ref(), kind.policy(), traced);
+
         // Top-k bound skip: when the request is a plain ranked top-k,
         // construct fragments best-bound-first and never build the
         // ones that provably miss the cut. Results are identical to
-        // the legacy construct-everything path (see
-        // `construct_bounded_topk`); only the work differs.
-        if let Some((k_limit, weights)) = self.topk_bound_gate(request, spec, traced) {
-            let t = Instant::now();
+        // the construct-everything path (see `construct_bounded_topk`);
+        // only the work differs.
+        if let Some((k_limit, weights)) = topk_bound_gate(request, spec) {
             stats.total_before_top_k = rtfs.len();
             stats.truncated = rtfs.len() > k_limit;
-            let hits = self.construct_bounded_topk(
+            let hits = construct_bounded_topk(
                 &rtfs,
-                kind.policy(),
+                &mut builder,
                 spec.query().len(),
                 k_limit,
                 &weights,
                 &mut stats,
             )?;
             timings.prune_rtf = t.elapsed();
+            builder.record(ctx, t);
             self.metrics.observe(&timings, &stats, hits.len());
             return Ok(SearchResponse {
                 hits,
@@ -411,59 +264,12 @@ impl SearchEngine {
             });
         }
 
-        // pruneRTF — construct + prune, consuming the raw fragment so
-        // no node payload is deep-cloned. Sharded backends fan the
-        // per-RTF work out; gather preserves anchor document order.
-        let t = Instant::now();
-        let mut fragments;
-        match &self.backend {
-            Backend::Tree { tree, .. } => {
-                fragments = Vec::with_capacity(rtfs.len());
-                if traced {
-                    construct_prune_traced(
-                        &rtfs,
-                        kind.policy(),
-                        |rtf| Ok(Fragment::construct(tree, rtf)),
-                        &mut fragments,
-                        ctx,
-                        t,
-                    )?;
-                } else {
-                    for rtf in &rtfs {
-                        fragments.push(prune_owned(Fragment::construct(tree, rtf), kind.policy()));
-                    }
-                }
-            }
-            Backend::Source(source) => {
-                fragments = Vec::with_capacity(rtfs.len());
-                if traced {
-                    construct_prune_traced(
-                        &rtfs,
-                        kind.policy(),
-                        |rtf| {
-                            Fragment::try_construct_from_source(source.as_ref(), rtf)
-                                .map_err(SearchError::from)
-                        },
-                        &mut fragments,
-                        ctx,
-                        t,
-                    )?;
-                } else {
-                    for rtf in &rtfs {
-                        let raw = Fragment::try_construct_from_source(source.as_ref(), rtf)?;
-                        fragments.push(prune_owned(raw, kind.policy()));
-                    }
-                }
-            }
-            Backend::Sharded { set, threads } => {
-                fragments =
-                    crate::shards::scatter_construct(self, set, *threads, &rtfs, kind.policy())?;
-                // The fan-out interleaves construct and prune per
-                // worker, so the trace gets one combined span.
-                ctx.trace.record_since(Stage::Construct, t);
-            }
+        let mut fragments = Vec::with_capacity(rtfs.len());
+        for rtf in &rtfs {
+            fragments.push(builder.build(rtf)?);
         }
         timings.prune_rtf = t.elapsed();
+        builder.record(ctx, t);
         self.check_deadline(deadline, exec_start, "post_process", &stats)?;
 
         // Everything past the paper's pipeline is timed as the
@@ -521,6 +327,41 @@ impl SearchEngine {
         })
     }
 
+    /// `getKeywordNodes`: one postings lookup per keyword (one
+    /// [`Stage::PostingsDecode`] span each when traced) plus its sealed
+    /// statistics, whose shard-filter skips land in
+    /// `stats.shards_skipped`. Returns the keyword-node sets and whether
+    /// every term had sealed statistics, or `None` as soon as some
+    /// keyword matches nothing.
+    fn resolve(
+        &self,
+        query: &Query,
+        stats: &mut SearchStats,
+        ctx: &mut QueryContext,
+    ) -> Result<Option<(KeywordNodeSets, bool)>, SearchError> {
+        let traced = ctx.trace.is_enabled();
+        let mut sets = Vec::with_capacity(query.len());
+        let mut all_sealed = true;
+        for kw in query.keywords() {
+            let t = traced.then(Instant::now);
+            let list = self.source.keyword_deweys(kw)?;
+            if let Some(t) = t {
+                ctx.trace.record_since(Stage::PostingsDecode, t);
+            }
+            let sealed = self.source.keyword_stats(kw);
+            all_sealed &= sealed.is_some();
+            stats.shards_skipped += sealed.map_or(0, |s| s.shards_skipped);
+            if list.is_empty() {
+                return Ok(None);
+            }
+            sets.push(list);
+        }
+        Ok(Some((
+            KeywordNodeSets::new(query.clone(), sets),
+            all_sealed,
+        )))
+    }
+
     /// The between-stage deadline check: free for requests without a
     /// deadline, one `Instant::now()` otherwise. An expired deadline
     /// becomes a typed [`SearchError::Timeout`] carrying the stats
@@ -548,225 +389,13 @@ impl SearchEngine {
         })))
     }
 
-    /// Chooses the anchor-pass execution — legacy k-way merge or the
-    /// planner's rarest-first gallop — from the resolved list lengths
-    /// and the backend's sealed statistics, recording the choice in
-    /// `stats`. Scalar-only on purpose: lengths land in a fixed stack
-    /// array (queries carry ≤ 64 keywords — the `KeySet` mask width),
-    /// so the warm path performs no allocation here.
-    fn plan_anchor_exec(&self, sets: &KeywordNodeSets, stats: &mut SearchStats) -> AnchorExec {
-        let lists = sets.sets();
-        let k = lists.len();
-        let mut lens = [0usize; 64];
-        for (slot, list) in lens.iter_mut().zip(lists) {
-            *slot = list.len();
-        }
-        stats.plan_postings = lists.iter().map(|l| l.len() as u64).sum();
-        if !(2..=64).contains(&k) {
-            return AnchorExec::Merge;
-        }
-        let lens = &lens[..k];
-        // Sealed means every term has authoritative stored statistics.
-        // The tree backend's in-memory index is authoritative by
-        // construction; sources answer per keyword (`None` = unknown,
-        // e.g. a mutable delta touched the term → whole query merges).
-        let all_sealed = match &self.backend {
-            Backend::Tree { .. } => true,
-            Backend::Source(source) => sets
-                .query()
-                .keywords()
-                .iter()
-                .all(|kw| source.keyword_stats(kw).is_some()),
-            Backend::Sharded { set, .. } => sets
-                .query()
-                .keywords()
-                .iter()
-                .all(|kw| set.keyword_stats(kw).is_some()),
-        };
-        match choose_strategy(lens, all_sealed) {
-            PlanStrategy::FullMerge => AnchorExec::Merge,
-            PlanStrategy::Gallop => {
-                let driver = choose_driver(lens);
-                stats.plan_strategy = PlanStrategy::Gallop;
-                stats.plan_driver = driver as u32;
-                AnchorExec::Gallop { driver }
-            }
-        }
-    }
-
-    /// Whether this request qualifies for bound-ordered top-k
-    /// construction (skipping fragments that provably miss the top k):
-    /// a ranked `top_k ≥ 1` over a plain query with no `max_fragments`
-    /// cap, untraced, on an unsharded backend (the scatter path keeps
-    /// its own fan-out), with non-negative weights summing above zero
-    /// (negative weights would invert the score bound). Returns the
-    /// limit and the effective weights.
-    fn topk_bound_gate(
-        &self,
-        request: &SearchRequest,
-        spec: &QuerySpec,
-        traced: bool,
-    ) -> Option<(usize, crate::rank::RankWeights)> {
-        if traced
-            || !spec.is_plain()
-            || request.max_fragments_cap().is_some()
-            || matches!(self.backend, Backend::Sharded { .. })
-        {
-            return None;
-        }
-        let k = request.top_k_limit().filter(|&k| k >= 1)?;
-        let weights = request.effective_weights()?;
-        let wsum = weights.specificity + weights.compactness + weights.density;
-        if weights.specificity < 0.0
-            || weights.compactness < 0.0
-            || weights.density < 0.0
-            || wsum <= 0.0
-        {
-            return None;
-        }
-        Some((k, weights))
-    }
-
-    /// Constructs + prunes + scores fragments in descending order of
-    /// their score **upper bound**, skipping every RTF whose bound
-    /// falls strictly below the current k-th best score once `k_limit`
-    /// fragments exist. Returns hits best-first, truncated to
-    /// `k_limit` — byte-identical to construct-everything-then-rank:
-    ///
-    /// * the bound uses the **global** `max_depth` over all RTF anchors
-    ///   (exactly [`crate::rank::rank`]'s normalizer, since every RTF
-    ///   becomes a fragment on the legacy path and anchors survive
-    ///   construction unchanged);
-    /// * specificity is exact, compactness is bounded by 1, density by
-    ///   the best per-node keyword share (pruning only removes nodes,
-    ///   and the average of shares never exceeds their maximum);
-    /// * the `1e-9` margin absorbs rounding differences between the
-    ///   bound expression and [`crate::rank::score_fragment`], so a
-    ///   skip implies a strictly lower true score — under the
-    ///   score-desc / index-asc tiebreak, no skipped fragment can
-    ///   displace a constructed one from the top k.
-    fn construct_bounded_topk(
-        &self,
-        rtfs: &[crate::rtf::Rtf],
-        policy: Policy,
-        k_query: usize,
-        k_limit: usize,
-        weights: &crate::rank::RankWeights,
-        stats: &mut SearchStats,
-    ) -> Result<Vec<Hit>, SearchError> {
-        let max_depth = rtfs
-            .iter()
-            .map(|r| r.anchor.level())
-            .max()
-            .unwrap_or(0)
-            .max(1) as f64;
-        let wsum = weights.specificity + weights.compactness + weights.density;
-        let bound = |r: &crate::rtf::Rtf| -> f64 {
-            let specificity = r.anchor.level() as f64 / max_depth;
-            let density_max = r
-                .knodes
-                .iter()
-                .map(|(_, kset)| kset.len() as f64 / k_query.max(1) as f64)
-                .fold(0.0f64, f64::max);
-            (weights.specificity * specificity
-                + weights.compactness
-                + weights.density * density_max)
-                / wsum
-                + 1e-9
-        };
-        let mut order: Vec<(usize, f64)> = rtfs
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (i, bound(r)))
-            .collect();
-        order.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-
-        // (original index, score, signals, fragment) of everything
-        // built; `top_scores` tracks the k best scores descending.
-        let mut built: Vec<(usize, f64, [f64; 3], Fragment)> = Vec::new();
-        let mut top_scores: Vec<f64> = Vec::with_capacity(k_limit);
-        for (i, ub) in order {
-            if top_scores.len() == k_limit && ub < top_scores[k_limit - 1] {
-                stats.rtfs_skipped_topk += 1;
-                continue;
-            }
-            let raw = match &self.backend {
-                Backend::Tree { tree, .. } => Fragment::construct(tree, &rtfs[i]),
-                Backend::Source(source) => {
-                    Fragment::try_construct_from_source(source.as_ref(), &rtfs[i])?
-                }
-                Backend::Sharded { .. } => {
-                    unreachable!("bounded top-k is gated off sharded backends")
-                }
-            };
-            let fragment = prune_owned(raw, policy);
-            let (score, signals) =
-                crate::rank::score_fragment(&fragment, k_query, weights, max_depth);
-            let pos = top_scores.partition_point(|&s| s >= score);
-            if pos < k_limit {
-                top_scores.insert(pos, score);
-                top_scores.truncate(k_limit);
-            }
-            built.push((i, score, signals, fragment));
-        }
-        built.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        built.truncate(k_limit);
-        Ok(built
-            .into_iter()
-            .map(|(_, score, signals, fragment)| Hit {
-                fragment,
-                score: Some(score),
-                signals: Some(signals),
-            })
-            .collect())
-    }
-
     /// Explains how the planner would execute `request` against this
     /// backend **without running it**: per-term postings/doc-frequency
     /// statistics in rarest-first order, the gallop-vs-merge choice,
     /// and per-term shard-filter skips (see [`PlanReport`] and the
     /// `xks explain` CLI subcommand).
     pub fn explain(&self, request: &SearchRequest) -> Result<PlanReport, SearchError> {
-        let query = request.query();
-        let report = match &self.backend {
-            Backend::Tree { index, .. } => {
-                let mut terms = Vec::with_capacity(query.len());
-                let mut lens = Vec::with_capacity(query.len());
-                for kw in query.keywords() {
-                    let postings = index.postings(kw);
-                    lens.push(postings.len());
-                    terms.push(crate::plan::TermPlan {
-                        keyword: kw.clone(),
-                        postings: postings.len() as u64,
-                        doc_freq: Some(crate::plan::doc_frequency(postings)),
-                        sealed: true,
-                        shards_skipped: 0,
-                    });
-                }
-                let strategy = choose_strategy(&lens, true);
-                terms.sort_by(|a, b| a.postings.cmp(&b.postings).then(a.keyword.cmp(&b.keyword)));
-                PlanReport {
-                    terms,
-                    strategy,
-                    shards: 0,
-                }
-            }
-            Backend::Source(source) => PlanReport::build(source.as_ref(), query, 0, |_| 0)?,
-            Backend::Sharded { set, .. } => {
-                PlanReport::build(set.as_ref(), query, set.shard_count() as u32, |kw| {
-                    set.shard_skips(kw)
-                })?
-            }
-        };
-        Ok(report)
+        Ok(PlanReport::build(self.source.as_ref(), request.query())?)
     }
 
     /// Drops every fragment violating an operator constraint. Phrases
@@ -780,7 +409,6 @@ impl SearchEngine {
         sets: &KeywordNodeSets,
         fragments: &mut Vec<Fragment>,
     ) -> Result<(), SearchError> {
-        use std::borrow::Cow;
         use std::collections::HashMap;
 
         let phrase_masks: Vec<u64> = spec
@@ -789,17 +417,10 @@ impl SearchEngine {
             .map(|group| group.iter().fold(0u64, |m, &p| m | (1 << p)))
             .collect();
         // Excluded keywords resolve like any other keyword; an absent
-        // word simply excludes nothing. The tree backend's postings are
-        // borrowed — only sources that hand out owned lists pay a copy.
-        let mut exclusion_postings: Vec<Cow<'_, [Dewey]>> =
-            Vec::with_capacity(spec.exclusions().len());
+        // word simply excludes nothing.
+        let mut exclusion_postings: Vec<Vec<Dewey>> = Vec::with_capacity(spec.exclusions().len());
         for word in spec.exclusions() {
-            let list = match &self.backend {
-                Backend::Tree { index, .. } => Cow::Borrowed(index.postings(word)),
-                Backend::Source(source) => Cow::Owned(source.try_keyword_deweys(word)?),
-                Backend::Sharded { set, .. } => Cow::Owned(set.try_keyword_deweys(word)?),
-            };
-            exclusion_postings.push(list);
+            exclusion_postings.push(self.source.keyword_deweys(word)?);
         }
         // Label-name lookups cross the backend and lowercase a string;
         // memoize per (filter, label id) so the walk below does integer
@@ -835,9 +456,12 @@ impl SearchEngine {
                 {
                     if !*ok
                         && mask & (1 << filter.position) != 0
-                        && *memo
-                            .entry(n.label.as_u32())
-                            .or_insert_with(|| self.label_name_matches(n.label, &filter.label))
+                        && *memo.entry(n.label.as_u32()).or_insert_with(|| {
+                            // `want` is already lowercased by the grammar.
+                            self.source
+                                .label_name(n.label.as_u32())
+                                .is_some_and(|name| name.to_lowercase() == filter.label)
+                        })
                     {
                         *ok = true;
                     }
@@ -850,20 +474,6 @@ impl SearchEngine {
                     .any(|list| subtree_contains(&fragment.anchor, list))
         });
         Ok(())
-    }
-
-    /// Case-insensitive label comparison through whichever backend owns
-    /// the label table (`want` is already lowercased by the grammar).
-    fn label_name_matches(&self, label: xks_xmltree::LabelId, want: &str) -> bool {
-        match &self.backend {
-            Backend::Tree { tree, .. } => tree.labels().name(label).to_lowercase() == want,
-            Backend::Source(source) => source
-                .label_name(label.as_u32())
-                .is_some_and(|name| name.to_lowercase() == want),
-            Backend::Sharded { set, .. } => set
-                .label_name(label.as_u32())
-                .is_some_and(|name| name.to_lowercase() == want),
-        }
     }
 
     /// Takes a warm context from the pool (or makes a fresh one). The
@@ -897,73 +507,6 @@ impl SearchEngine {
         }
     }
 
-    /// Runs one algorithm on one query, reusing a pooled
-    /// [`QueryContext`].
-    #[deprecated(note = "build a `SearchRequest` and call `SearchEngine::execute`")]
-    #[must_use]
-    pub fn search(&self, query: &Query, kind: AlgorithmKind) -> SearchResult {
-        let mut ctx = self.checkout_context();
-        #[allow(deprecated)]
-        let result = self.search_with(query, kind, &mut ctx);
-        self.checkin_context(ctx);
-        result
-    }
-
-    /// Runs one algorithm on one query with a caller-owned
-    /// [`QueryContext`].
-    ///
-    /// # Panics
-    /// Panics on backend errors — the legacy contract. Use
-    /// [`SearchEngine::execute_with`] for typed errors.
-    #[deprecated(note = "build a `SearchRequest` and call `SearchEngine::execute_with`")]
-    #[must_use]
-    pub fn search_with(
-        &self,
-        query: &Query,
-        kind: AlgorithmKind,
-        ctx: &mut QueryContext,
-    ) -> SearchResult {
-        let request = SearchRequest::from_query(query.clone()).algorithm(kind);
-        match self.execute_with(&request, ctx) {
-            Ok(response) => SearchResult {
-                timings: response.timings,
-                fragments: response.into_fragments(),
-            },
-            Err(e) => panic!("search failed: {e}"),
-        }
-    }
-
-    /// Runs one algorithm and returns the fragments **ranked best
-    /// first** (the §7 future-work stage; see [`mod@crate::rank`]).
-    /// The rank permutation is applied by moving fragments, never by
-    /// cloning them.
-    ///
-    /// # Panics
-    /// Panics on backend errors — the legacy contract. Use
-    /// [`SearchEngine::execute`] with
-    /// [`SearchRequest::weights`] for typed errors.
-    #[deprecated(
-        note = "build a `SearchRequest` with `.weights(..)` and call `SearchEngine::execute`"
-    )]
-    #[must_use]
-    pub fn search_ranked(
-        &self,
-        query: &Query,
-        kind: AlgorithmKind,
-        weights: &crate::rank::RankWeights,
-    ) -> SearchResult {
-        let request = SearchRequest::from_query(query.clone())
-            .algorithm(kind)
-            .weights(*weights);
-        match self.execute(&request) {
-            Ok(response) => SearchResult {
-                timings: response.timings,
-                fragments: response.into_fragments(),
-            },
-            Err(e) => panic!("search failed: {e}"),
-        }
-    }
-
     /// Runs ValidRTF and revised MaxMatch on the same query and computes
     /// the Figure 5/6 data point.
     pub fn compare(&self, query: &Query) -> Result<Comparison, SearchError> {
@@ -987,6 +530,208 @@ impl SearchEngine {
             effectiveness: effectiveness(&pairs),
         })
     }
+}
+
+/// Chooses the anchor-pass execution — legacy k-way merge or the
+/// planner's rarest-first gallop — from the resolved list lengths and
+/// whether every term has sealed statistics, recording the choice in
+/// `stats`. Scalar-only on purpose: lengths land in a fixed stack array
+/// (queries carry ≤ 64 keywords — the `KeySet` mask width), so the warm
+/// path performs no allocation here.
+fn plan_anchor_exec(
+    sets: &KeywordNodeSets,
+    all_sealed: bool,
+    stats: &mut SearchStats,
+) -> AnchorExec {
+    let lists = sets.sets();
+    let k = lists.len();
+    let mut lens = [0usize; 64];
+    for (slot, list) in lens.iter_mut().zip(lists) {
+        *slot = list.len();
+    }
+    stats.plan_postings = lists.iter().map(|l| l.len() as u64).sum();
+    if !(2..=64).contains(&k) {
+        return AnchorExec::Merge;
+    }
+    let lens = &lens[..k];
+    match choose_strategy(lens, all_sealed) {
+        PlanStrategy::FullMerge => AnchorExec::Merge,
+        PlanStrategy::Gallop => {
+            let driver = choose_driver(lens);
+            stats.plan_strategy = PlanStrategy::Gallop;
+            stats.plan_driver = driver as u32;
+            AnchorExec::Gallop { driver }
+        }
+    }
+}
+
+/// Whether this request qualifies for bound-ordered top-k construction
+/// (skipping fragments that provably miss the top k): a ranked
+/// `top_k ≥ 1` over a plain query with no `max_fragments` cap, with
+/// non-negative weights summing above zero (negative weights would
+/// invert the score bound). Returns the limit and the effective
+/// weights.
+fn topk_bound_gate(
+    request: &SearchRequest,
+    spec: &QuerySpec,
+) -> Option<(usize, crate::rank::RankWeights)> {
+    if !spec.is_plain() || request.max_fragments_cap().is_some() {
+        return None;
+    }
+    let k = request.top_k_limit().filter(|&k| k >= 1)?;
+    let weights = request.effective_weights()?;
+    let wsum = weights.specificity + weights.compactness + weights.density;
+    if weights.specificity < 0.0
+        || weights.compactness < 0.0
+        || weights.density < 0.0
+        || wsum <= 0.0
+    {
+        return None;
+    }
+    Some((k, weights))
+}
+
+/// Constructs + prunes + scores fragments in descending order of their
+/// score **upper bound**, skipping every RTF whose bound falls strictly
+/// below the current k-th best score once `k_limit` fragments exist.
+/// Returns hits best-first, truncated to `k_limit` — byte-identical to
+/// construct-everything-then-rank:
+///
+/// * the bound uses the **global** `max_depth` over all RTF anchors
+///   (exactly [`crate::rank::rank`]'s normalizer, since every RTF
+///   becomes a fragment on the full path and anchors survive
+///   construction unchanged);
+/// * specificity is exact, compactness is bounded by 1, density by the
+///   best per-node keyword share (pruning only removes nodes, and the
+///   average of shares never exceeds their maximum);
+/// * the `1e-9` margin absorbs rounding differences between the bound
+///   expression and [`crate::rank::score_fragment`], so a skip implies
+///   a strictly lower true score — under the score-desc / index-asc
+///   tiebreak, no skipped fragment can displace a constructed one from
+///   the top k.
+fn construct_bounded_topk(
+    rtfs: &[Rtf],
+    builder: &mut FragmentBuilder<'_>,
+    k_query: usize,
+    k_limit: usize,
+    weights: &crate::rank::RankWeights,
+    stats: &mut SearchStats,
+) -> Result<Vec<Hit>, SearchError> {
+    let max_depth = rtfs
+        .iter()
+        .map(|r| r.anchor.level())
+        .max()
+        .unwrap_or(0)
+        .max(1) as f64;
+    let wsum = weights.specificity + weights.compactness + weights.density;
+    let bound = |r: &Rtf| -> f64 {
+        let specificity = r.anchor.level() as f64 / max_depth;
+        let density_max = r
+            .knodes
+            .iter()
+            .map(|(_, kset)| kset.len() as f64 / k_query.max(1) as f64)
+            .fold(0.0f64, f64::max);
+        (weights.specificity * specificity + weights.compactness + weights.density * density_max)
+            / wsum
+            + 1e-9
+    };
+    let mut order: Vec<(usize, f64)> = rtfs
+        .iter()
+        .enumerate()
+        .map(|(i, r)| (i, bound(r)))
+        .collect();
+    order.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.0.cmp(&b.0))
+    });
+
+    // (original index, score, signals, fragment) of everything built;
+    // `top_scores` tracks the k best scores descending.
+    let mut built: Vec<(usize, f64, [f64; 3], Fragment)> = Vec::new();
+    let mut top_scores: Vec<f64> = Vec::with_capacity(k_limit);
+    for (i, ub) in order {
+        if top_scores.len() == k_limit && ub < top_scores[k_limit - 1] {
+            stats.rtfs_skipped_topk += 1;
+            continue;
+        }
+        let fragment = builder.build(&rtfs[i])?;
+        let (score, signals) = crate::rank::score_fragment(&fragment, k_query, weights, max_depth);
+        let pos = top_scores.partition_point(|&s| s >= score);
+        if pos < k_limit {
+            top_scores.insert(pos, score);
+            top_scores.truncate(k_limit);
+        }
+        built.push((i, score, signals, fragment));
+    }
+    built.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.0.cmp(&b.0))
+    });
+    built.truncate(k_limit);
+    Ok(built
+        .into_iter()
+        .map(|(_, score, signals, fragment)| Hit {
+            fragment,
+            score: Some(score),
+            signals: Some(signals),
+        })
+        .collect())
+}
+
+/// The construct + prune step of one RTF, shared by the full and the
+/// bounded top-k loops. When traced it accumulates per-fragment
+/// durations (the clock is read only then) into one
+/// [`Stage::Construct`] and one [`Stage::Prune`] span, laid end to end
+/// by [`FragmentBuilder::record`]: the stages interleave per anchor, so
+/// honest per-iteration spans would explode the span buffer, while the
+/// aggregate keeps the totals exact.
+struct FragmentBuilder<'a> {
+    source: &'a dyn CorpusSource,
+    policy: Policy,
+    /// Accumulated `(construct, prune)` nanoseconds; `None` untraced.
+    spent: Option<(u64, u64)>,
+}
+
+impl<'a> FragmentBuilder<'a> {
+    fn new(source: &'a dyn CorpusSource, policy: Policy, traced: bool) -> Self {
+        FragmentBuilder {
+            source,
+            policy,
+            spent: traced.then_some((0, 0)),
+        }
+    }
+
+    fn build(&mut self, rtf: &Rtf) -> Result<Fragment, SearchError> {
+        let Some((construct_ns, prune_ns)) = &mut self.spent else {
+            let raw = Fragment::construct_from_source(self.source, rtf)?;
+            return Ok(prune_owned(raw, self.policy));
+        };
+        let t = Instant::now();
+        let raw = Fragment::construct_from_source(self.source, rtf)?;
+        let mid = Instant::now();
+        let fragment = prune_owned(raw, self.policy);
+        *construct_ns += nanos(mid - t);
+        *prune_ns += nanos(mid.elapsed());
+        Ok(fragment)
+    }
+
+    /// Records the accumulated spans from `phase_start` (no-op
+    /// untraced).
+    fn record(&self, ctx: &mut QueryContext, phase_start: Instant) {
+        if let Some((construct_ns, prune_ns)) = self.spent {
+            let base = ctx.trace.offset_ns(phase_start);
+            ctx.trace
+                .record_manual(Stage::Construct, base, construct_ns);
+            ctx.trace
+                .record_manual(Stage::Prune, base + construct_ns, prune_ns);
+        }
+    }
+}
+
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Handles into the global [`xks_obs`] registry, resolved once per
@@ -1068,59 +813,6 @@ impl EngineMetrics {
     }
 }
 
-/// Keyword-by-keyword resolution for traced queries: the same loop as
-/// the default `CorpusSource::try_resolve` (empty list ⇒ `None`), with
-/// one [`Stage::PostingsDecode`] span per keyword.
-fn resolve_traced(
-    source: &dyn CorpusSource,
-    query: &Query,
-    ctx: &mut QueryContext,
-) -> Result<Option<KeywordNodeSets>, SearchError> {
-    let mut sets = Vec::with_capacity(query.len());
-    for kw in query.keywords() {
-        let t = Instant::now();
-        let list = source.try_keyword_deweys(kw)?;
-        ctx.trace.record_since(Stage::PostingsDecode, t);
-        if list.is_empty() {
-            return Ok(None);
-        }
-        sets.push(list);
-    }
-    Ok(Some(KeywordNodeSets::new(query.clone(), sets)))
-}
-
-/// The construct + prune loop of a traced query: identical work to the
-/// untraced loop, with per-fragment durations accumulated into one
-/// [`Stage::Construct`] and one [`Stage::Prune`] span laid end to end
-/// from `phase_start` (the stages interleave per anchor, so honest
-/// per-iteration spans would explode the span buffer; the aggregate
-/// placement keeps the Chrome view readable and the totals exact).
-fn construct_prune_traced(
-    rtfs: &[crate::rtf::Rtf],
-    policy: Policy,
-    mut construct: impl FnMut(&crate::rtf::Rtf) -> Result<Fragment, SearchError>,
-    fragments: &mut Vec<Fragment>,
-    ctx: &mut QueryContext,
-    phase_start: Instant,
-) -> Result<(), SearchError> {
-    let mut construct_ns = 0u64;
-    let mut prune_ns = 0u64;
-    for rtf in rtfs {
-        let t = Instant::now();
-        let raw = construct(rtf)?;
-        construct_ns += u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let t = Instant::now();
-        fragments.push(prune_owned(raw, policy));
-        prune_ns += u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    }
-    let base = ctx.trace.offset_ns(phase_start);
-    ctx.trace
-        .record_manual(Stage::Construct, base, construct_ns);
-    ctx.trace
-        .record_manual(Stage::Prune, base + construct_ns, prune_ns);
-    Ok(())
-}
-
 /// Clones the context's trace into the response (traced requests only)
 /// and disarms it so the pooled context goes back clean. The clone is
 /// a fixed-size copy — no heap allocation.
@@ -1161,7 +853,6 @@ fn subtree_contains(anchor: &Dewey, sorted: &[Dewey]) -> bool {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the legacy shims are asserted against `execute`
 mod tests {
     use super::*;
     use crate::source::{MemoryCorpus, SourceElement, SourceError};
@@ -1193,25 +884,6 @@ mod tests {
         assert_eq!(engine.contexts.lock().unwrap().len(), 1);
         let _ = engine.execute(&request).unwrap();
         assert_eq!(engine.contexts.lock().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn legacy_shims_match_execute() {
-        let engine = SearchEngine::new(publications());
-        for kind in [
-            AlgorithmKind::ValidRtf,
-            AlgorithmKind::MaxMatchRtf,
-            AlgorithmKind::MaxMatchSlca,
-        ] {
-            let legacy = engine.search(&q("liu keyword"), kind);
-            let response = engine.execute(&req("liu keyword").algorithm(kind)).unwrap();
-            let fragments: Vec<&Fragment> = response.fragments().collect();
-            assert_eq!(
-                legacy.fragments.iter().collect::<Vec<_>>(),
-                fragments,
-                "{kind:?}"
-            );
-        }
     }
 
     #[test]
@@ -1269,13 +941,6 @@ mod tests {
         assert_eq!(r.hits[0].fragment.anchor.to_string(), "0.2.0.3.0");
         assert!(r.hits[0].score.unwrap() > r.hits[1].score.unwrap());
         assert!(r.hits.iter().all(|h| h.signals.is_some()));
-        // The deprecated shim produces the same order.
-        let legacy = engine.search_ranked(
-            &q("liu keyword"),
-            AlgorithmKind::ValidRtf,
-            &crate::rank::RankWeights::default(),
-        );
-        assert_eq!(legacy.fragments[0], r.hits[0].fragment);
     }
 
     #[test]
@@ -1434,36 +1099,29 @@ mod tests {
         fail: Failures,
     }
 
+    impl FailingCorpus {
+        fn check(&self, failing: bool, what: &str) -> Result<(), SourceError> {
+            if failing {
+                return Err(SourceError::new(format!("synthetic {what} I/O failure")));
+            }
+            Ok(())
+        }
+    }
+
     impl CorpusSource for FailingCorpus {
-        fn keyword_deweys(&self, keyword: &str) -> Vec<Dewey> {
+        fn keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
+            self.check(
+                self.fail.all_postings || self.fail.keyword == Some(keyword),
+                "postings",
+            )?;
             self.inner.keyword_deweys(keyword)
         }
-        fn element(&self, dewey: &Dewey) -> Option<SourceElement> {
+        fn element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
+            self.check(self.fail.elements, "element")?;
             self.inner.element(dewey)
         }
         fn label_name(&self, label: u32) -> Option<String> {
             self.inner.label_name(label)
-        }
-        fn node_count(&self) -> usize {
-            self.inner.node_count()
-        }
-        fn try_keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
-            if self.fail.all_postings || self.fail.keyword == Some(keyword) {
-                return Err(SourceError::new("synthetic postings I/O failure"));
-            }
-            Ok(self.inner.keyword_deweys(keyword))
-        }
-        fn try_element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
-            if self.fail.elements {
-                return Err(SourceError::new("synthetic element I/O failure"));
-            }
-            Ok(self.inner.element(dewey))
-        }
-        fn try_element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
-            if self.fail.elements {
-                return Err(SourceError::new("synthetic element I/O failure"));
-            }
-            Ok(self.inner.element_label(dewey))
         }
     }
 
@@ -1525,20 +1183,14 @@ mod tests {
     struct NoStats(MemoryCorpus);
 
     impl CorpusSource for NoStats {
-        fn keyword_deweys(&self, keyword: &str) -> Vec<Dewey> {
+        fn keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
             self.0.keyword_deweys(keyword)
         }
-        fn element(&self, dewey: &Dewey) -> Option<SourceElement> {
+        fn element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
             self.0.element(dewey)
-        }
-        fn element_label(&self, dewey: &Dewey) -> Option<u32> {
-            self.0.element_label(dewey)
         }
         fn label_name(&self, label: u32) -> Option<String> {
             self.0.label_name(label)
-        }
-        fn node_count(&self) -> usize {
-            self.0.node_count()
         }
     }
 
@@ -1607,10 +1259,12 @@ mod tests {
         assert!(topk.stats.truncated);
         assert_eq!(topk.stats.total_before_top_k, 22);
         assert_eq!(full.stats.rtfs_skipped_topk, 0, "no top_k, no skipping");
-        // The traced run takes the legacy path and must agree.
+        // The traced run takes the same bounded path and must agree.
         let traced = engine.execute(&req("common").top_k(2).trace(true)).unwrap();
         assert_eq!(traced.hits, topk.hits);
-        assert_eq!(traced.stats.rtfs_skipped_topk, 0);
+        assert_eq!(traced.stats, topk.stats);
+        let trace = traced.trace.expect("traced");
+        assert!(trace.spans().iter().any(|s| s.stage == Stage::Construct));
     }
 
     #[test]
@@ -1673,7 +1327,6 @@ mod tests {
         // Queries keep working: checkout/checkin recover the poison.
         let r = engine.execute(&req("rust async")).unwrap();
         assert_eq!(r.hits.len(), 2);
-        let legacy = engine.search(&q("rust"), AlgorithmKind::ValidRtf);
-        assert_eq!(legacy.fragments.len(), 2);
+        assert_eq!(engine.execute(&req("rust")).unwrap().hits.len(), 2);
     }
 }

@@ -191,37 +191,15 @@ impl Fragment {
     /// Builds the fragment for one RTF from a [`CorpusSource`] — the
     /// same constructing step as [`Fragment::construct`], but reading
     /// node facts (label, own-content feature) from the storage
-    /// abstraction instead of the parsed tree. Used by the engine when
-    /// it runs over shredded tables or an on-disk index.
+    /// abstraction instead of the parsed tree. This is the step
+    /// `SearchEngine::execute` drives over every backend.
     ///
     /// Path nodes cost one [`CorpusSource::element_label`] each (no
     /// content strings materialized); only keyword nodes fetch the full
-    /// element record for its own-content feature.
-    ///
-    /// Panics if the RTF references a Dewey code the corpus does not
-    /// contain (keyword nodes always come from the same corpus, so this
-    /// indicates a corrupted index).
-    #[must_use]
-    pub fn construct_from_source<S: CorpusSource + ?Sized>(source: &S, rtf: &Rtf) -> Self {
-        construct_stream(
-            &rtf.anchor,
-            &rtf.knodes,
-            |d| {
-                LabelId(
-                    source.element_label(d).unwrap_or_else(|| {
-                        panic!("RTF references node {d} missing from the corpus")
-                    }),
-                )
-            },
-            |d| source_element(source, d).keyword_cid,
-        )
-    }
-
-    /// Fallible form of [`Fragment::construct_from_source`]: backend
-    /// failures (I/O, corruption, a node the corpus lost) surface as a
-    /// typed [`SourceError`] instead of a panic — the constructing step
-    /// `SearchEngine::execute` drives.
-    pub fn try_construct_from_source<S: CorpusSource + ?Sized>(
+    /// element record for its own-content feature. Backend failures
+    /// (I/O, corruption, a node the corpus lost) surface as a typed
+    /// [`SourceError`].
+    pub fn construct_from_source<S: CorpusSource + ?Sized>(
         source: &S,
         rtf: &Rtf,
     ) -> Result<Self, SourceError> {
@@ -239,7 +217,7 @@ impl Fragment {
         let fragment = construct_stream(
             &rtf.anchor,
             &rtf.knodes,
-            |d| match source.try_element_label(d) {
+            |d| match source.element_label(d) {
                 Ok(Some(label)) => LabelId(label),
                 Ok(None) => {
                     fail(SourceError::missing_node(d));
@@ -250,7 +228,7 @@ impl Fragment {
                     LabelId(0)
                 }
             },
-            |d| match source.try_element(d) {
+            |d| match source.element(d) {
                 Ok(Some(element)) => element.keyword_cid,
                 Ok(None) => {
                     fail(SourceError::missing_node(d));
@@ -476,15 +454,6 @@ impl Fragment {
 fn tree_node(tree: &XmlTree, dewey: &Dewey) -> xks_xmltree::NodeId {
     tree.node_by_dewey(dewey)
         .unwrap_or_else(|| panic!("RTF references node {dewey} missing from the tree"))
-}
-
-fn source_element<S: CorpusSource + ?Sized>(
-    source: &S,
-    dewey: &Dewey,
-) -> crate::source::SourceElement {
-    source
-        .element(dewey)
-        .unwrap_or_else(|| panic!("RTF references node {dewey} missing from the corpus"))
 }
 
 /// The paper's bit-list rendering of a keyword set: `kList = 0 1 1 1 1`

@@ -82,6 +82,6 @@ pub use quality::{assess, assess_all, AxiomCounts, QualityConfig, QualityReport}
 pub use rank::{rank, score_fragment, RankWeights, RankedFragment};
 pub use request::{Hit, SearchError, SearchRequest, SearchResponse, SearchStats, SearchTimeout};
 pub use rtf::{get_rtf, get_rtf_from_merged, get_rtf_unchecked, Rtf};
-pub use scratch::{QueryContext, QueryScratch};
+pub use scratch::QueryContext;
 pub use shards::ShardSet;
-pub use source::{CorpusSource, MemoryCorpus, SourceElement, SourceError};
+pub use source::{CorpusSource, MemoryCorpus, SourceElement, SourceError, TreeCorpus};

@@ -28,9 +28,7 @@
 //! the corpus root's stored *subtree* feature is not refreshed on
 //! insert (fragment construction derives interior features by folding
 //! keyword-node own-features, never reading stored subtree features
-//! above keyword nodes), and [`MutableSource::node_count`] is an upper
-//! bound that still counts tombstoned base documents (node counts feed
-//! stats, never result sets).
+//! above keyword nodes).
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -154,7 +152,6 @@ impl State {
                     label: row.label,
                     level: row.level,
                     keyword_cid: own.get(row.dewey.as_str()).cloned(),
-                    subtree_cid: row.content_feature.clone(),
                 },
             );
         }
@@ -219,6 +216,8 @@ impl MutableSource {
     pub fn from_base(base: Arc<dyn CorpusSource>, labels: Vec<String>, next_doc: u32) -> Self {
         let root_label = base
             .element_label(&Dewey::from_components(vec![0]))
+            .ok()
+            .flatten()
             .expect("base corpus has a root element");
         MutableSource {
             state: RwLock::new(State {
@@ -272,7 +271,7 @@ impl MutableSource {
         state
             .base
             .as_ref()
-            .is_some_and(|b| b.element_label(&dewey).is_some())
+            .is_some_and(|b| matches!(b.element_label(&dewey), Ok(Some(_))))
     }
 
     /// Inserts a document from XML text, returning its ordinal.
@@ -387,6 +386,8 @@ impl MutableSource {
         let mut state = self.write();
         state.root_label = base
             .element_label(&Dewey::from_components(vec![0]))
+            .ok()
+            .flatten()
             .expect("sealed base has a root element");
         state.base = Some(base);
         state.labels = labels;
@@ -399,10 +400,10 @@ impl MutableSource {
 }
 
 impl CorpusSource for MutableSource {
-    fn keyword_deweys(&self, keyword: &str) -> Vec<Dewey> {
+    fn keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
         let state = self.read();
         let mut out = match &state.base {
-            Some(base) => base.keyword_deweys(keyword),
+            Some(base) => base.keyword_deweys(keyword)?,
             None => Vec::new(),
         };
         if !state.tombstones.is_empty() {
@@ -411,18 +412,39 @@ impl CorpusSource for MutableSource {
         if let Some(delta) = state.delta_postings.get(keyword) {
             out.extend(delta.iter().filter(|d| !state.tombstoned(d)).cloned());
         }
-        out
+        Ok(out)
     }
 
-    fn element(&self, dewey: &Dewey) -> Option<SourceElement> {
+    fn element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
         let state = self.read();
         if state.tombstoned(dewey) {
-            return None;
+            return Ok(None);
         }
         if let Some(found) = state.delta_elements.get(dewey) {
-            return Some(found.clone());
+            return Ok(Some(found.clone()));
         }
-        state.base.as_ref().and_then(|b| b.element(dewey))
+        match &state.base {
+            Some(base) => base.element(dewey),
+            None => Ok(None),
+        }
+    }
+
+    fn element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
+        let state = self.read();
+        if state.tombstoned(dewey) {
+            return Ok(None);
+        }
+        if let Some(found) = state.delta_elements.get(dewey) {
+            return Ok(Some(found.label));
+        }
+        match &state.base {
+            Some(base) => base.element_label(dewey),
+            None => Ok(None),
+        }
+    }
+
+    fn label_name(&self, label: u32) -> Option<String> {
+        self.read().labels.get(label as usize).cloned()
     }
 
     fn keyword_stats(&self, keyword: &str) -> Option<crate::plan::KeywordStats> {
@@ -438,79 +460,6 @@ impl CorpusSource for MutableSource {
         }
         state.base.as_ref()?.keyword_stats(keyword)
     }
-
-    fn element_label(&self, dewey: &Dewey) -> Option<u32> {
-        let state = self.read();
-        if state.tombstoned(dewey) {
-            return None;
-        }
-        if let Some(found) = state.delta_elements.get(dewey) {
-            return Some(found.label);
-        }
-        state.base.as_ref().and_then(|b| b.element_label(dewey))
-    }
-
-    fn label_name(&self, label: u32) -> Option<String> {
-        self.read().labels.get(label as usize).cloned()
-    }
-
-    /// Upper bound: live delta elements plus the whole base, including
-    /// any base documents tombstoned since (counting their nodes would
-    /// mean scanning the base). Node counts feed stats and sanity
-    /// checks, never result sets.
-    fn node_count(&self) -> usize {
-        let state = self.read();
-        let base = state.base.as_ref().map_or(0, |b| b.node_count());
-        let delta = state
-            .delta_elements
-            .keys()
-            .filter(|d| !state.tombstoned(d))
-            .count();
-        base + delta
-    }
-
-    fn try_keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
-        let state = self.read();
-        let mut out = match &state.base {
-            Some(base) => base.try_keyword_deweys(keyword)?,
-            None => Vec::new(),
-        };
-        if !state.tombstones.is_empty() {
-            out.retain(|d| !state.tombstoned(d));
-        }
-        if let Some(delta) = state.delta_postings.get(keyword) {
-            out.extend(delta.iter().filter(|d| !state.tombstoned(d)).cloned());
-        }
-        Ok(out)
-    }
-
-    fn try_element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
-        let state = self.read();
-        if state.tombstoned(dewey) {
-            return Ok(None);
-        }
-        if let Some(found) = state.delta_elements.get(dewey) {
-            return Ok(Some(found.clone()));
-        }
-        match &state.base {
-            Some(base) => base.try_element(dewey),
-            None => Ok(None),
-        }
-    }
-
-    fn try_element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
-        let state = self.read();
-        if state.tombstoned(dewey) {
-            return Ok(None);
-        }
-        if let Some(found) = state.delta_elements.get(dewey) {
-            return Ok(Some(found.label));
-        }
-        match &state.base {
-            Some(base) => base.try_element_label(dewey),
-            None => Ok(None),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -525,7 +474,7 @@ mod tests {
             .unwrap()
             .algorithm(AlgorithmKind::ValidRtf);
         let response = engine.execute(&request).unwrap();
-        let source = engine.corpus().expect("source-backed engine");
+        let source = engine.corpus();
         response
             .hits
             .iter()
@@ -614,16 +563,17 @@ mod tests {
         let drop = src
             .insert_xml("<paper><title>xml skyline</title></paper>")
             .unwrap();
-        assert_eq!(src.keyword_deweys("xml").len(), 2);
+        assert_eq!(src.keyword_deweys("xml").unwrap().len(), 2);
         src.delete(drop).unwrap();
         assert!(src.exists(keep));
         assert!(!src.exists(drop));
-        let xml_nodes = src.keyword_deweys("xml");
+        let xml_nodes = src.keyword_deweys("xml").unwrap();
         assert_eq!(xml_nodes.len(), 1);
         assert_eq!(xml_nodes[0].components()[1], keep);
-        assert!(src.keyword_deweys("skyline").is_empty());
+        assert!(src.keyword_deweys("skyline").unwrap().is_empty());
         assert!(src
             .element(&Dewey::from_components(vec![0, drop]))
+            .unwrap()
             .is_none());
         // Deleting again (or a never-assigned ordinal) is typed.
         assert!(matches!(
@@ -665,9 +615,9 @@ mod tests {
         let after = src.labels_snapshot();
         assert_eq!(&after[..before.len()], &before[..]);
         assert!(after.iter().any(|l| l == "venue"));
-        let venue_nodes = src.keyword_deweys("venue");
+        let venue_nodes = src.keyword_deweys("venue").unwrap();
         assert_eq!(venue_nodes.len(), 1);
-        let label = src.element_label(&venue_nodes[0]).unwrap();
+        let label = src.element_label(&venue_nodes[0]).unwrap().unwrap();
         assert_eq!(src.label_name(label).as_deref(), Some("venue"));
     }
 

@@ -59,6 +59,11 @@ pub struct KeywordStats {
     pub postings: u64,
     /// Distinct documents containing the keyword (document frequency).
     pub docs: u64,
+    /// Shards the backend spans (0 when unsharded).
+    pub shards: u32,
+    /// Shards whose keyword filter proves the keyword absent — the
+    /// postings lookups a sharded backend skips for it.
+    pub shards_skipped: u32,
 }
 
 /// How the anchor pass executes the query.
@@ -128,7 +133,7 @@ const FILTER_MAX_BITS: usize = 65536;
 const FILTER_PROBES: u32 = 2;
 
 /// A small double-hashed Bloom filter over a shard's keyword
-/// vocabulary, stored in the `.xksm` manifest so scatter-gather can
+/// vocabulary, stored in the `.xksm` manifest so a sharded lookup can
 /// skip `(keyword, shard)` probes for shards that provably miss the
 /// keyword. No false negatives: `may_contain` returning `false` is
 /// proof of absence; `true` may be a false positive (~3% at the sized
@@ -242,28 +247,27 @@ pub struct PlanReport {
 
 impl PlanReport {
     /// Builds a report against one source: resolves each keyword's
-    /// postings for exact lengths, reads sealed stats where available,
-    /// and orders terms rarest-first. `shard_skips(keyword)` supplies
-    /// the per-term filter-skip count (always 0 for unsharded
-    /// backends).
+    /// postings for exact lengths, reads sealed stats (and, on sharded
+    /// backends, the shard count and per-term filter skips) where
+    /// available, and orders terms rarest-first.
     pub fn build(
         source: &dyn CorpusSource,
         query: &Query,
-        shards: u32,
-        mut shard_skips: impl FnMut(&str) -> u32,
     ) -> Result<Self, crate::source::SourceError> {
         let mut terms = Vec::with_capacity(query.len());
         let mut lens = Vec::with_capacity(query.len());
+        let mut shards = 0;
         for kw in query.keywords() {
-            let postings = source.try_keyword_deweys(kw)?.len() as u64;
+            let postings = source.keyword_deweys(kw)?.len() as u64;
             let stats = source.keyword_stats(kw);
+            shards = shards.max(stats.map_or(0, |s| s.shards));
             lens.push(postings as usize);
             terms.push(TermPlan {
                 keyword: kw.to_owned(),
                 postings,
                 doc_freq: stats.map(|s| s.docs),
                 sealed: stats.is_some(),
-                shards_skipped: shard_skips(kw),
+                shards_skipped: stats.map_or(0, |s| s.shards_skipped),
             });
         }
         let all_sealed = terms.iter().all(|t| t.sealed);

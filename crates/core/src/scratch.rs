@@ -1,20 +1,11 @@
 //! Per-thread query working memory — re-exported from `xks-lca`.
 //!
-//! PR 2 introduced a per-engine `QueryScratch` holding the merged
-//! posting stream, anchor list, and ELCA buffers. The concurrency
-//! refactor generalized it into [`xks_lca::QueryContext`] — the
-//! *mutable per-thread half* of the read path, owned one-per-thread by
-//! the [`crate::executor`] and checked in/out of a pool by
-//! [`crate::engine::SearchEngine::search`] — and moved it down into
-//! `xks-lca` so the scratch-taking LCA entry points
+//! [`xks_lca::QueryContext`] is the *mutable per-thread half* of the
+//! read path, owned one-per-thread by the [`crate::executor`] and
+//! checked in/out of a pool by
+//! [`crate::engine::SearchEngine::execute`]. It lives in `xks-lca` so
+//! the scratch-taking LCA entry points
 //! ([`xks_lca::elca_into_context`], [`xks_lca::slca_into_context`])
 //! accept it directly.
 
 pub use xks_lca::QueryContext;
-
-/// The pre-concurrency name of [`QueryContext`]. The scratch-taking
-/// entry points themselves were renamed (`run_from_sets_with_scratch`
-/// → [`crate::algorithms::run_from_sets_with_context`], and likewise
-/// for the source form), so this alias only preserves the *type* name
-/// for code that constructed a `QueryScratch` directly.
-pub type QueryScratch = QueryContext;

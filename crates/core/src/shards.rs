@@ -1,5 +1,5 @@
-//! Sharded corpora: routing [`CorpusSource`] over N document
-//! partitions, plus the scatter-gather execution the engine drives.
+//! Sharded corpora: a routing [`CorpusSource`] over N document
+//! partitions.
 //!
 //! # Topology
 //!
@@ -13,11 +13,12 @@
 //!
 //! * **keyword → postings** concatenates the per-shard lists in shard
 //!   order — contiguity makes that a document-ordered merge with no
-//!   k-way comparison;
+//!   k-way comparison — skipping every shard whose keyword filter
+//!   proves the keyword absent;
 //! * **Dewey → element** routes to the owning shard with one binary
 //!   search over the range boundaries (`O(log shards)`, no fan-out).
 //!
-//! # Why scatter-gather happens *below* the anchor stages
+//! # Why the engine sees one corpus
 //!
 //! Per-shard end-to-end pipelines cannot be merged exactly: an ELCA
 //! anchor may sit **above** the document level (the corpus root is an
@@ -26,37 +27,24 @@
 //! and such an anchor's fragment draws keyword nodes from *every*
 //! shard. A shard searching alone either misses the anchor (its
 //! keyword lists look empty for terms it doesn't hold) or reports a
-//! root fragment covering only its slice. Either way the gathered
-//! result would diverge from the unsharded engine.
+//! root fragment covering only its slice.
 //!
-//! The engine therefore scatters only the **storage-bound** stages and
-//! keeps the cheap in-memory pass global:
-//!
-//! 1. `getKeywordNodes` — fan out (shard × keyword) lookups across
-//!    worker threads, gather by concatenation ([`ShardSet`] invariant
-//!    above). Exactly the unsharded keyword-node sets come out.
-//! 2. `getLCA` / `getRTF` — one single-pass scan over the merged
-//!    stream, unchanged (it is allocation-free and memory-bound; a
-//!    parallel version would buy nothing and lose determinism).
-//! 3. `pruneRTF` — fan out per-RTF fragment construction; each lookup
-//!    routes to the owning shard, root-anchored fragments transparently
-//!    read from all of them. Gather preserves RTF order.
-//!
-//! Results are therefore **byte-identical** to the unsharded engine by
-//! construction — not just on friendly workloads — which the workspace
-//! pins against the golden digest in `tests/sharded_differential.rs`.
+//! So the engine runs its one pipeline over the set as a single
+//! source: resolution concatenates, the anchor pass is global, and
+//! fragment construction routes each node lookup to its owner (a
+//! root-anchored fragment transparently reads from every shard it
+//! spans). Results are therefore **byte-identical** to the unsharded
+//! engine by construction, which the workspace pins against the golden
+//! digest in `tests/sharded_differential.rs`. A query runs on one
+//! thread: the server and the batch executor parallelize across
+//! queries, and a per-query fan-out across shards measured slower than
+//! routing (see `docs/ARCHITECTURE.md`).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use xks_index::{KeywordNodeSets, Query};
 use xks_xmltree::Dewey;
 
-use crate::engine::SearchEngine;
-use crate::fragment::Fragment;
-use crate::prune::{prune_owned, Policy};
-use crate::rtf::Rtf;
-use crate::scratch::QueryContext;
+use crate::plan::KeywordStats;
 use crate::source::{CorpusSource, SourceElement, SourceError};
 
 /// N corpus shards glued into one logical [`CorpusSource`] (see the
@@ -77,7 +65,7 @@ pub struct ShardSet {
     /// `i`'s vocabulary). Empty when the topology carries none; a
     /// `None` entry means that one shard has no filter. Filters have
     /// no false negatives, so a rejecting filter proves the shard's
-    /// postings list is empty and the scatter may skip the lookup.
+    /// postings list is empty and the lookup may be skipped.
     filters: Vec<Option<crate::plan::KeywordFilter>>,
 }
 
@@ -122,8 +110,8 @@ impl ShardSet {
 
     /// Builds a set like [`ShardSet::new`] and attaches per-shard
     /// keyword filters (one entry per shard, `None` where a shard has
-    /// none). The scatter stage consults them to skip (keyword × shard)
-    /// lookups a filter proves empty; filters must therefore have **no
+    /// none). Postings lookups consult them to skip (keyword × shard)
+    /// probes a filter proves empty; filters must therefore have **no
     /// false negatives** over the shard's vocabulary or results will
     /// silently lose postings.
     pub fn with_filters(
@@ -193,36 +181,39 @@ impl ShardSet {
     /// Whether shard `shard` can possibly hold postings for `keyword`.
     /// `true` when the shard carries no filter (unknown ⇒ must probe);
     /// `false` only on a filter rejection, which is a proof of absence.
-    #[must_use]
-    pub fn shard_may_contain(&self, shard: usize, keyword: &str) -> bool {
+    fn shard_may_contain(&self, shard: usize, keyword: &str) -> bool {
         match self.filters.get(shard) {
             Some(Some(filter)) => filter.may_contain(keyword),
             _ => true,
         }
     }
-
-    /// How many of the set's shards prove (via their keyword filter)
-    /// that they hold no postings for `keyword` — the lookups the
-    /// scatter stage skips for this term.
-    #[must_use]
-    pub fn shard_skips(&self, keyword: &str) -> u32 {
-        (0..self.shards.len())
-            .filter(|&i| !self.shard_may_contain(i, keyword))
-            .count() as u32
-    }
 }
 
 impl CorpusSource for ShardSet {
-    fn keyword_deweys(&self, keyword: &str) -> Vec<Dewey> {
-        self.try_keyword_deweys(keyword)
-            .unwrap_or_else(|e| panic!("sharded keyword lookup failed: {e}"))
+    fn keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
+        // Contiguous document ranges ⇒ concatenation in shard order IS
+        // document order; disjoint ranges ⇒ nothing to dedup.
+        let mut merged = Vec::new();
+        for (i, shard) in self.shards.iter().enumerate() {
+            if !self.shard_may_contain(i, keyword) {
+                continue;
+            }
+            let list = shard.keyword_deweys(keyword)?;
+            if merged.is_empty() {
+                merged = list;
+            } else {
+                merged.extend(list);
+            }
+        }
+        debug_assert!(merged.is_sorted(), "shard ranges out of document order");
+        Ok(merged)
     }
 
-    fn element(&self, dewey: &Dewey) -> Option<SourceElement> {
+    fn element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
         self.route(dewey).element(dewey)
     }
 
-    fn element_label(&self, dewey: &Dewey) -> Option<u32> {
+    fn element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
         self.route(dewey).element_label(dewey)
     }
 
@@ -233,17 +224,17 @@ impl CorpusSource for ShardSet {
         self.shards[0].label_name(label)
     }
 
-    fn node_count(&self) -> usize {
-        self.shards.iter().map(|s| s.node_count()).sum()
-    }
-
-    fn keyword_stats(&self, keyword: &str) -> Option<crate::plan::KeywordStats> {
-        // Sealed only when every shard knows its stats; one unknown
-        // shard makes the whole sum unknown. Filter-rejected shards
-        // contribute provable zeros without being probed.
-        let mut total = crate::plan::KeywordStats::default();
+    fn keyword_stats(&self, keyword: &str) -> Option<KeywordStats> {
+        // Sealed only when every probed shard knows its stats; one
+        // unknown shard makes the whole sum unknown. Filter-rejected
+        // shards contribute provable zeros without being probed.
+        let mut total = KeywordStats {
+            shards: self.shards.len() as u32,
+            ..KeywordStats::default()
+        };
         for (i, shard) in self.shards.iter().enumerate() {
             if !self.shard_may_contain(i, keyword) {
+                total.shards_skipped += 1;
                 continue;
             }
             let stats = shard.keyword_stats(keyword)?;
@@ -252,214 +243,88 @@ impl CorpusSource for ShardSet {
         }
         Some(total)
     }
-
-    fn try_keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
-        // Contiguous document ranges ⇒ concatenation in shard order IS
-        // document order; disjoint ranges ⇒ nothing to dedup.
-        let mut lists = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            lists.push(shard.try_keyword_deweys(keyword)?);
-        }
-        let mut merged = Vec::with_capacity(lists.iter().map(Vec::len).sum());
-        for list in lists {
-            merged.extend(list);
-        }
-        debug_assert!(merged.is_sorted(), "shard ranges out of document order");
-        Ok(merged)
-    }
-
-    fn try_element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
-        self.route(dewey).try_element(dewey)
-    }
-
-    fn try_element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
-        self.route(dewey).try_element_label(dewey)
-    }
-}
-
-/// Runs the cursor-strided scatter loop shared by both fan-out stages:
-/// `threads` workers (inline when 1) claim task indices from one atomic
-/// cursor — the same work-stealing shape as [`crate::executor`] — each
-/// holding one warm [`QueryContext`] drawn from the engine's pool, and
-/// results land in input order.
-fn scatter<T: Send>(
-    engine: &SearchEngine,
-    tasks: usize,
-    threads: usize,
-    task: impl Fn(usize, &mut QueryContext) -> T + Sync,
-) -> Vec<T> {
-    let threads = threads.clamp(1, tasks.max(1));
-    let mut slots: Vec<Option<T>> = (0..tasks).map(|_| None).collect();
-    if threads == 1 {
-        let mut ctx = engine.checkout_context();
-        for (i, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(task(i, &mut ctx));
-        }
-        engine.checkin_context(ctx);
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let task = &task;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for _ in 0..threads {
-                let cursor = &cursor;
-                handles.push(scope.spawn(move || {
-                    let mut ctx = engine.checkout_context();
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= tasks {
-                            break;
-                        }
-                        mine.push((i, task(i, &mut ctx)));
-                    }
-                    engine.checkin_context(ctx);
-                    mine
-                }));
-            }
-            for handle in handles {
-                for (i, result) in handle.join().expect("scatter worker panicked") {
-                    slots[i] = Some(result);
-                }
-            }
-        });
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every scatter task claimed exactly once"))
-        .collect()
-}
-
-/// `getKeywordNodes`, scattered: every (keyword × shard) lookup is one
-/// task; the gather concatenates per-shard lists in shard order (see
-/// the module docs for why that IS document order). Returns `None` when
-/// a keyword matches nothing in **any** shard — the same empty-result
-/// contract as unsharded resolution, even when individual shards lack
-/// the term. Lookups a shard's keyword filter proves empty are skipped
-/// without touching the shard; `skipped` counts them (exactness is
-/// preserved because filters have no false negatives — a skipped lookup
-/// would have returned an empty list).
-pub(crate) fn scatter_resolve(
-    engine: &SearchEngine,
-    set: &ShardSet,
-    threads: usize,
-    query: &Query,
-    skipped: &mut u32,
-) -> Result<Option<KeywordNodeSets>, SourceError> {
-    let keywords = query.keywords();
-    let shards = set.shards();
-    *skipped = keywords.iter().map(|kw| set.shard_skips(kw)).sum();
-    let lists = scatter(
-        engine,
-        keywords.len() * shards.len(),
-        threads,
-        |i, ctx| -> Result<Vec<Dewey>, SourceError> {
-            let shard_idx = i % shards.len();
-            let keyword = &keywords[i / shards.len()];
-            if !set.shard_may_contain(shard_idx, keyword) {
-                return Ok(Vec::new());
-            }
-            // Decode into the context's warm arena (reused across every
-            // shard this worker visits), bypassing shard-shared caches.
-            shards[shard_idx].try_keyword_deweys_into(keyword, &mut ctx.postings)?;
-            Ok(ctx.postings.to_deweys())
-        },
-    );
-    let mut lists = lists.into_iter();
-    let mut sets: Vec<Vec<Dewey>> = Vec::with_capacity(keywords.len());
-    for _ in 0..keywords.len() {
-        let per_shard: Vec<Vec<Dewey>> = lists
-            .by_ref()
-            .take(shards.len())
-            .collect::<Result<_, _>>()?;
-        let total: usize = per_shard.iter().map(Vec::len).sum();
-        if total == 0 {
-            return Ok(None);
-        }
-        let mut merged = Vec::with_capacity(total);
-        for list in per_shard {
-            merged.extend(list);
-        }
-        sets.push(merged);
-    }
-    Ok(Some(KeywordNodeSets::new(query.clone(), sets)))
-}
-
-/// `pruneRTF`, scattered: one task per RTF, constructed through the
-/// set's routing source (so a root-anchored RTF transparently reads
-/// from every shard it spans) and pruned in place by the worker. The
-/// gather preserves RTF (anchor document) order; the first backend
-/// error aborts the whole stage.
-pub(crate) fn scatter_construct(
-    engine: &SearchEngine,
-    set: &ShardSet,
-    threads: usize,
-    rtfs: &[Rtf],
-    policy: Policy,
-) -> Result<Vec<Fragment>, SourceError> {
-    scatter(
-        engine,
-        rtfs.len(),
-        threads,
-        |i, _ctx| -> Result<Fragment, SourceError> {
-            let raw = Fragment::try_construct_from_source(set, &rtfs[i])?;
-            Ok(prune_owned(raw, policy))
-        },
-    )
-    .into_iter()
-    .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::SearchEngine;
+    use crate::request::{SearchError, SearchRequest};
     use crate::source::MemoryCorpus;
     use xks_store::{partition, shred};
-    use xks_xmltree::fixtures::publications;
+    use xks_xmltree::fixtures::{publications, PAPER_QUERIES};
 
-    fn sharded(parts: usize) -> (ShardSet, MemoryCorpus) {
-        let doc = shred(&publications());
-        let whole = MemoryCorpus::new(doc.clone());
-        let split = partition(&doc, parts);
+    /// Partitions `tree` into `parts` memory shards, each with an exact
+    /// keyword filter over its vocabulary when `filtered`.
+    fn shard_tree(tree: &xks_xmltree::XmlTree, parts: usize, filtered: bool) -> ShardSet {
+        let split = partition(&shred(tree), parts);
         let first_docs: Vec<u32> = split.iter().map(|p| p.first_doc).collect();
+        let filters = split
+            .iter()
+            .map(|p| {
+                filtered.then(|| {
+                    crate::plan::KeywordFilter::from_keywords(
+                        p.doc.keyword_stats().map(|(kw, _)| kw),
+                    )
+                })
+            })
+            .collect();
         let shards: Vec<Arc<dyn CorpusSource>> = split
             .into_iter()
             .map(|p| Arc::new(MemoryCorpus::new(p.doc)) as Arc<dyn CorpusSource>)
             .collect();
-        (ShardSet::new(shards, first_docs).unwrap(), whole)
+        ShardSet::with_filters(shards, first_docs, filters).unwrap()
+    }
+
+    fn whole() -> MemoryCorpus {
+        MemoryCorpus::new(shred(&publications()))
+    }
+
+    fn whole_engine(tree: &xks_xmltree::XmlTree) -> SearchEngine {
+        SearchEngine::from_source(Arc::new(MemoryCorpus::new(shred(tree))))
     }
 
     #[test]
     fn merged_postings_match_unsharded() {
+        let whole = whole();
         for parts in [1, 2, 3] {
-            let (set, whole) = sharded(parts);
-            for kw in ["liu", "keyword", "xml", "publications", "unobtainium"] {
-                assert_eq!(
-                    set.try_keyword_deweys(kw).unwrap(),
-                    whole.keyword_deweys(kw),
-                    "{kw} with {parts} parts"
-                );
+            for filtered in [false, true] {
+                let set = shard_tree(&publications(), parts, filtered);
+                for kw in ["liu", "keyword", "xml", "publications", "unobtainium"] {
+                    assert_eq!(
+                        set.keyword_deweys(kw).unwrap(),
+                        whole.keyword_deweys(kw).unwrap(),
+                        "{kw} with {parts} parts"
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn element_lookups_route_to_the_owner() {
-        let (set, whole) = sharded(3);
+        let set = shard_tree(&publications(), 3, false);
+        let whole = whole();
         // Root and deep nodes alike.
         for dewey in ["0", "0.0", "0.2.0.1", "0.2.1.1", "0.9.9"] {
             let d: Dewey = dewey.parse().unwrap();
-            assert_eq!(set.element(&d), whole.element(&d), "{dewey}");
-            assert_eq!(set.element_label(&d), whole.element_label(&d));
+            assert_eq!(
+                set.element(&d).unwrap(),
+                whole.element(&d).unwrap(),
+                "{dewey}"
+            );
+            assert_eq!(
+                set.element_label(&d).unwrap(),
+                whole.element_label(&d).unwrap()
+            );
         }
-        assert_eq!(set.node_count(), whole.node_count());
         assert_eq!(set.label_name(0), whole.label_name(0));
         assert!(set.owning_shard(&"0".parse().unwrap()) == 0);
     }
 
     #[test]
     fn topology_validation_rejects_bad_inputs() {
-        let (set, _) = sharded(2);
+        let set = shard_tree(&publications(), 2, false);
         let shards: Vec<Arc<dyn CorpusSource>> = set.shards().to_vec();
         assert!(ShardSet::new(Vec::new(), Vec::new()).is_err(), "no shards");
         assert!(
@@ -483,60 +348,41 @@ mod tests {
         assert_send_sync::<ShardSet>();
     }
 
-    fn shard_tree(tree: &xks_xmltree::XmlTree, parts: usize) -> ShardSet {
-        let doc = shred(tree);
-        let split = partition(&doc, parts);
-        let first_docs: Vec<u32> = split.iter().map(|p| p.first_doc).collect();
-        let shards: Vec<Arc<dyn CorpusSource>> = split
-            .into_iter()
-            .map(|p| Arc::new(MemoryCorpus::new(p.doc)) as Arc<dyn CorpusSource>)
-            .collect();
-        ShardSet::new(shards, first_docs).unwrap()
-    }
-
     #[test]
-    fn sharded_engine_matches_unsharded_for_every_thread_count() {
-        use crate::request::SearchRequest;
+    fn sharded_engine_matches_unsharded() {
         let tree = publications();
-        let whole = crate::engine::SearchEngine::from_owned_source(MemoryCorpus::new(shred(&tree)));
+        let whole = whole_engine(&tree);
         for parts in [1, 2, 3] {
-            for threads in [1, 2, 4] {
-                let engine = crate::engine::SearchEngine::from_shard_set(shard_tree(&tree, parts))
-                    .with_scatter_threads(threads);
-                assert_eq!(engine.scatter_threads(), Some(threads));
-                assert_eq!(engine.shard_set().unwrap().shard_count(), parts);
-                for text in xks_xmltree::fixtures::PAPER_QUERIES {
-                    let request = SearchRequest::parse(text).unwrap();
-                    assert_eq!(
-                        whole.execute(&request).unwrap().hits,
-                        engine.execute(&request).unwrap().hits,
-                        "{text} ({parts} shards, {threads} threads)"
-                    );
-                }
+            let engine = SearchEngine::from_shard_set(shard_tree(&tree, parts, false));
+            for text in PAPER_QUERIES {
+                let request = SearchRequest::parse(text).unwrap();
+                assert_eq!(
+                    whole.execute(&request).unwrap().hits,
+                    engine.execute(&request).unwrap().hits,
+                    "{text} ({parts} shards)"
+                );
             }
         }
     }
 
     #[test]
     fn root_anchored_fragments_span_shards_exactly() {
-        use crate::request::SearchRequest;
         // "alpha" lives only in document 0, "beta" only in document 1:
         // the sole interesting LCA is the corpus root, whose fragment
         // draws keyword nodes from BOTH shards. Per-shard pipelines
         // would miss it entirely (each shard lacks one keyword); the
-        // scatter-below-anchors design must reproduce it byte for byte.
+        // routed set must reproduce it byte for byte.
         let tree = xks_xmltree::parse(
             "<lib><a><t>alpha</t></a><b><t>beta</t></b><c><t>gamma</t></c></lib>",
         )
         .unwrap();
-        let whole = crate::engine::SearchEngine::from_owned_source(MemoryCorpus::new(shred(&tree)));
+        let whole = whole_engine(&tree);
         let request = SearchRequest::parse("alpha beta").unwrap();
         let expect = whole.execute(&request).unwrap();
         assert_eq!(expect.hits.len(), 1, "root anchor exists unsharded");
         assert_eq!(expect.hits[0].fragment.anchor.to_string(), "0");
         for parts in [2, 3] {
-            let engine = crate::engine::SearchEngine::from_shard_set(shard_tree(&tree, parts))
-                .with_scatter_threads(2);
+            let engine = SearchEngine::from_shard_set(shard_tree(&tree, parts, true));
             let got = engine.execute(&request).unwrap();
             assert_eq!(expect.hits, got.hits, "{parts} shards");
             // And the ranked/top-k merge shapes identically too.
@@ -548,45 +394,21 @@ mod tests {
         }
     }
 
-    /// Shards the fixture with an exact per-shard keyword filter built
-    /// from each part's vocabulary.
-    fn sharded_filtered(parts: usize) -> (ShardSet, MemoryCorpus) {
-        let doc = shred(&publications());
-        let whole = MemoryCorpus::new(doc.clone());
-        let split = partition(&doc, parts);
-        let first_docs: Vec<u32> = split.iter().map(|p| p.first_doc).collect();
-        let filters: Vec<Option<crate::plan::KeywordFilter>> = split
-            .iter()
-            .map(|p| {
-                Some(crate::plan::KeywordFilter::from_keywords(
-                    p.doc.keyword_stats().map(|(kw, _)| kw),
-                ))
-            })
-            .collect();
-        let shards: Vec<Arc<dyn CorpusSource>> = split
-            .into_iter()
-            .map(|p| Arc::new(MemoryCorpus::new(p.doc)) as Arc<dyn CorpusSource>)
-            .collect();
-        (
-            ShardSet::with_filters(shards, first_docs, filters).unwrap(),
-            whole,
-        )
-    }
-
     #[test]
     fn keyword_filters_skip_shards_without_changing_results() {
-        use crate::request::SearchRequest;
-        let whole = crate::engine::SearchEngine::from_owned_source(MemoryCorpus::new(shred(
-            &publications(),
-        )));
+        let whole = whole_engine(&publications());
         for parts in [2, 3] {
-            let (set, _) = sharded_filtered(parts);
+            let set = shard_tree(&publications(), parts, true);
             // "liu" lives in one document only: at least one shard's
             // filter must prove it absent.
-            assert!(set.shard_skips("liu") > 0, "{parts} parts");
-            assert_eq!(set.shard_skips("unobtainium"), parts as u32);
-            let engine = crate::engine::SearchEngine::from_shard_set(set).with_scatter_threads(2);
-            for text in xks_xmltree::fixtures::PAPER_QUERIES {
+            assert!(set.keyword_stats("liu").unwrap().shards_skipped > 0);
+            let absent = set.keyword_stats("unobtainium").unwrap();
+            assert_eq!(
+                (absent.shards, absent.shards_skipped),
+                (parts as u32, parts as u32)
+            );
+            let engine = SearchEngine::from_shard_set(set);
+            for text in PAPER_QUERIES {
                 let request = SearchRequest::parse(text).unwrap();
                 assert_eq!(
                     whole.execute(&request).unwrap().hits,
@@ -594,39 +416,51 @@ mod tests {
                     "{text} ({parts} parts)"
                 );
             }
-            let r = engine
-                .execute(&SearchRequest::parse("liu keyword").unwrap())
+            // Routed skips surface in the per-query stats, traced or
+            // not, and for queries whose result is empty too.
+            for request in [
+                SearchRequest::parse("liu keyword").unwrap(),
+                SearchRequest::parse("liu keyword").unwrap().trace(true),
+                SearchRequest::parse("liu unobtainium").unwrap(),
+            ] {
+                let r = engine.execute(&request).unwrap();
+                assert!(r.stats.shards_skipped > 0, "{request:?}");
+            }
+            let report = engine
+                .explain(&SearchRequest::parse("liu keyword").unwrap())
                 .unwrap();
-            assert!(r.stats.shards_skipped > 0, "skips surface in the stats");
+            assert_eq!(report.shards, parts as u32);
+            assert!(report.terms.iter().any(|t| t.shards_skipped > 0));
         }
     }
 
     #[test]
     fn set_keyword_stats_sum_across_shards() {
-        let (set, whole) = sharded_filtered(3);
+        let set = shard_tree(&publications(), 3, true);
+        let whole = whole();
         for kw in ["liu", "keyword", "xml", "unobtainium"] {
+            let sharded = set.keyword_stats(kw).unwrap();
+            let unsharded = whole.keyword_stats(kw).unwrap();
             assert_eq!(
-                set.keyword_stats(kw),
-                whole.keyword_stats(kw),
+                (sharded.postings, sharded.docs),
+                (unsharded.postings, unsharded.docs),
                 "{kw}: sharded sum matches unsharded"
             );
+            assert_eq!(sharded.shards, 3);
         }
         // A shard without stats makes the whole sum unknown.
-        let (plain, _) = sharded(2);
+        let plain = shard_tree(&publications(), 2, false);
         #[derive(Debug)]
         struct Opaque(Arc<dyn CorpusSource>);
         impl CorpusSource for Opaque {
-            fn keyword_deweys(&self, keyword: &str) -> Vec<Dewey> {
+            fn keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
                 self.0.keyword_deweys(keyword)
             }
-            fn element(&self, dewey: &Dewey) -> Option<SourceElement> {
+            fn element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
                 self.0.element(dewey)
             }
             fn label_name(&self, label: u32) -> Option<String> {
                 self.0.label_name(label)
-            }
-            fn node_count(&self) -> usize {
-                self.0.node_count()
             }
         }
         let mut shards = plain.shards().to_vec();
@@ -637,7 +471,7 @@ mod tests {
 
     #[test]
     fn filter_count_must_match_shard_count() {
-        let (set, _) = sharded(2);
+        let set = shard_tree(&publications(), 2, false);
         assert!(ShardSet::with_filters(
             set.shards().to_vec(),
             set.first_docs().to_vec(),
@@ -651,45 +485,40 @@ mod tests {
         )
         .unwrap();
         assert!(ok.shard_may_contain(0, "anything"), "no filter ⇒ probe");
-        assert_eq!(ok.shard_skips("anything"), 0);
+        assert_eq!(ok.keyword_stats("anything").unwrap().shards_skipped, 0);
     }
 
     #[test]
     fn scatter_surfaces_backend_errors_typed() {
-        use crate::request::SearchRequest;
+        // Kept under its historical name: the routed path must surface
+        // a failing shard's error typed, exactly as the scatter did.
         /// A shard whose postings lookups always fail.
         #[derive(Debug)]
         struct DeadShard;
         impl CorpusSource for DeadShard {
-            fn keyword_deweys(&self, _: &str) -> Vec<Dewey> {
-                panic!("legacy accessor unused")
+            fn keyword_deweys(&self, _: &str) -> Result<Vec<Dewey>, SourceError> {
+                Err(SourceError::new("synthetic shard I/O failure"))
             }
-            fn element(&self, _: &Dewey) -> Option<SourceElement> {
-                None
+            fn element(&self, _: &Dewey) -> Result<Option<SourceElement>, SourceError> {
+                Ok(None)
             }
             fn label_name(&self, _: u32) -> Option<String> {
                 None
             }
-            fn node_count(&self) -> usize {
-                0
-            }
-            fn try_keyword_deweys(&self, _: &str) -> Result<Vec<Dewey>, SourceError> {
-                Err(SourceError::new("synthetic shard I/O failure"))
-            }
         }
-        let tree = publications();
-        let healthy = shard_tree(&tree, 2);
+        let healthy = shard_tree(&publications(), 2, false);
         let mut shards = healthy.shards().to_vec();
         shards.push(Arc::new(DeadShard));
         let set = ShardSet::new(shards, vec![0, healthy.first_docs()[1], u32::MAX]).unwrap();
-        let engine = crate::engine::SearchEngine::from_shard_set(set).with_scatter_threads(2);
-        let err = engine
-            .execute(&SearchRequest::parse("liu keyword").unwrap())
-            .unwrap_err();
-        assert!(
-            matches!(err, crate::request::SearchError::Backend(_)),
-            "{err}"
-        );
-        assert!(err.to_string().contains("shard I/O failure"));
+        let engine = SearchEngine::from_shard_set(set);
+        for request in [
+            SearchRequest::parse("liu keyword").unwrap(),
+            SearchRequest::parse("liu keyword").unwrap().trace(true),
+            SearchRequest::parse("liu keyword").unwrap().top_k(1),
+        ] {
+            let err = engine.execute(&request).unwrap_err();
+            assert!(matches!(err, SearchError::Backend(_)), "{err}");
+            assert!(err.to_string().contains("shard I/O failure"));
+        }
     }
 }

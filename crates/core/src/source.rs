@@ -10,23 +10,23 @@
 //!    seeds keyword nodes with).
 //!
 //! [`CorpusSource`] captures exactly that, so ValidRTF/MaxMatch run
-//! identically over the in-memory [`ShreddedDoc`] tables (via
-//! [`MemoryCorpus`]) or an `xks-persist` on-disk index opened with a
-//! buffer pool — see [`crate::engine::SearchEngine::from_source`] and
-//! [`crate::algorithms::run_source`].
+//! identically over a parsed tree (via [`TreeCorpus`]), the in-memory
+//! [`ShreddedDoc`] tables (via [`MemoryCorpus`]), an `xks-persist`
+//! on-disk index opened with a buffer pool, or a sharded set of any of
+//! them — see [`crate::engine::SearchEngine::from_source`].
 
 use std::collections::HashMap;
 use std::fmt;
 
-use xks_index::{KeywordNodeSets, Query};
+use xks_index::InvertedIndex;
 use xks_store::ShreddedDoc;
-use xks_xmltree::Dewey;
+use xks_xmltree::content::{content_feature, node_content};
+use xks_xmltree::{Dewey, LabelId, XmlTree};
 
 use crate::fragment::Cid;
+use crate::plan::KeywordStats;
 
-/// A storage-backend failure surfaced on the query path — the typed
-/// alternative to the panics the infallible [`CorpusSource`] accessors
-/// raise. Wraps whatever error the backend produces (`xks-persist`'s
+/// A storage-backend failure surfaced on the query path. Wraps whatever error the backend produces (`xks-persist`'s
 /// `PersistError`, an I/O error, …) so `validrtf` stays independent of
 /// any particular storage crate.
 #[derive(Debug)]
@@ -76,16 +76,16 @@ pub struct SourceElement {
     /// `(min, max)` word pair seeding keyword nodes in the
     /// constructing step (§4.1). `None` for content-free nodes.
     pub keyword_cid: Cid,
-    /// Content feature of the node's whole subtree — the `element`
-    /// table's `cID` column (§5.2).
-    pub subtree_cid: Cid,
 }
 
 /// A read-only corpus: the storage interface of Algorithm 1.
 ///
 /// Implementations must present postings **sorted in document order and
 /// deduplicated**, and label ids consistent between
-/// [`CorpusSource::element`] and [`CorpusSource::label_name`].
+/// [`CorpusSource::element`] and [`CorpusSource::label_name`]. Lookups
+/// that touch storage are fallible: a backend that can fail after
+/// opening (an on-disk index hitting I/O errors or latent corruption)
+/// surfaces a typed [`SourceError`], never a panic.
 ///
 /// The trait requires `Send + Sync`: a corpus is the shared immutable
 /// half of the read path (the *index handle*), designed to back many
@@ -95,106 +95,29 @@ pub struct SourceElement {
 pub trait CorpusSource: std::fmt::Debug + Send + Sync {
     /// Sorted Dewey codes of the keyword nodes for `keyword`
     /// (empty when the keyword is absent).
-    fn keyword_deweys(&self, keyword: &str) -> Vec<Dewey>;
+    fn keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError>;
 
     /// The stored facts for one node, `None` if `dewey` is not in the
     /// corpus.
-    fn element(&self, dewey: &Dewey) -> Option<SourceElement>;
+    fn element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError>;
 
     /// The label id of one node only — what the fragment constructor
     /// needs for the (far more numerous) non-keyword path nodes.
     /// Backends override this to skip materializing the content-feature
     /// strings a full [`CorpusSource::element`] carries.
-    fn element_label(&self, dewey: &Dewey) -> Option<u32> {
-        self.element(dewey).map(|e| e.label)
+    fn element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
+        Ok(self.element(dewey)?.map(|e| e.label))
     }
 
     /// The label string for a label id, `None` for a foreign id.
     fn label_name(&self, label: u32) -> Option<String>;
 
-    /// Number of element nodes in the corpus.
-    fn node_count(&self) -> usize;
-
     /// Sealed selectivity statistics for `keyword`, `None` when the
     /// backend has no sealed stats for it (the planner then falls back
     /// to the full merge — see [`crate::plan`]). `Some` with zero
-    /// counts means the keyword is known absent. The default is
-    /// *unknown*, so existing backends stay on the legacy path until
-    /// they opt in.
-    fn keyword_stats(&self, _keyword: &str) -> Option<crate::plan::KeywordStats> {
+    /// counts means the keyword is known absent.
+    fn keyword_stats(&self, _keyword: &str) -> Option<KeywordStats> {
         None
-    }
-
-    /// Resolves a query to its `D_1..D_k` keyword-node sets
-    /// (`getKeywordNodes`); `None` when some keyword has no match.
-    fn resolve(&self, query: &Query) -> Option<KeywordNodeSets> {
-        let mut sets = Vec::with_capacity(query.len());
-        for kw in query.keywords() {
-            let list = self.keyword_deweys(kw);
-            if list.is_empty() {
-                return None;
-            }
-            sets.push(list);
-        }
-        Some(KeywordNodeSets::new(query.clone(), sets))
-    }
-
-    // ---- fallible accessors -------------------------------------------
-    //
-    // The `try_` family is what `SearchEngine::execute` drives: backends
-    // that can fail after opening (an on-disk index hitting I/O errors
-    // or latent corruption) override these to surface a typed
-    // [`SourceError`] instead of panicking. The defaults delegate to
-    // the infallible accessors, so purely in-memory backends implement
-    // nothing extra.
-
-    /// Fallible form of [`CorpusSource::keyword_deweys`].
-    fn try_keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
-        Ok(self.keyword_deweys(keyword))
-    }
-
-    /// Fallible form of [`CorpusSource::element`].
-    fn try_element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
-        Ok(self.element(dewey))
-    }
-
-    /// Fallible form of [`CorpusSource::element_label`].
-    fn try_element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
-        Ok(self.element_label(dewey))
-    }
-
-    /// Decodes `keyword`'s postings into a **caller-owned** arena
-    /// (cleared first), returning the number of codes. The default
-    /// delegates to [`CorpusSource::try_keyword_deweys`] and repacks;
-    /// disk backends override it with their cache-bypassing decode
-    /// (`xks-persist`'s `IndexReader::keyword_postings_into`) so a
-    /// scatter worker sweeping many shards reuses one warm per-thread
-    /// arena instead of churning every shard's shared postings LRU.
-    fn try_keyword_deweys_into(
-        &self,
-        keyword: &str,
-        arena: &mut xks_xmltree::DeweyListBuf,
-    ) -> Result<usize, SourceError> {
-        arena.clear();
-        for dewey in self.try_keyword_deweys(keyword)? {
-            arena.push(dewey.components());
-        }
-        Ok(arena.len())
-    }
-
-    /// Fallible form of [`CorpusSource::resolve`] — built on
-    /// [`CorpusSource::try_keyword_deweys`], so overriding that one
-    /// method is enough to make resolution error-aware.
-    fn try_resolve(&self, query: &Query) -> Result<Option<KeywordNodeSets>, SourceError> {
-        let mut sets = Vec::with_capacity(query.len());
-        for kw in query.keywords() {
-            let list = self.try_keyword_deweys(kw)?;
-            if list.is_empty() {
-                return Ok(None);
-            }
-            sets.push(list);
-        }
-        Ok(Some(KeywordNodeSets::new(query.clone(), sets)))
     }
 }
 
@@ -206,48 +129,20 @@ macro_rules! delegate_corpus_source {
         /// a corpus is the shared `Send + Sync` half of the read path,
         /// so cross-owner sharing goes through `Arc`.
         impl<S: CorpusSource + ?Sized> CorpusSource for $ptr<S> {
-            fn keyword_deweys(&self, keyword: &str) -> Vec<Dewey> {
+            fn keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
                 (**self).keyword_deweys(keyword)
             }
-            fn element(&self, dewey: &Dewey) -> Option<SourceElement> {
+            fn element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
                 (**self).element(dewey)
             }
-            fn element_label(&self, dewey: &Dewey) -> Option<u32> {
+            fn element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
                 (**self).element_label(dewey)
             }
             fn label_name(&self, label: u32) -> Option<String> {
                 (**self).label_name(label)
             }
-            fn node_count(&self) -> usize {
-                (**self).node_count()
-            }
-            fn keyword_stats(&self, keyword: &str) -> Option<crate::plan::KeywordStats> {
+            fn keyword_stats(&self, keyword: &str) -> Option<KeywordStats> {
                 (**self).keyword_stats(keyword)
-            }
-            fn resolve(&self, query: &Query) -> Option<KeywordNodeSets> {
-                (**self).resolve(query)
-            }
-            fn try_keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
-                (**self).try_keyword_deweys(keyword)
-            }
-            fn try_element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
-                (**self).try_element(dewey)
-            }
-            fn try_element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
-                (**self).try_element_label(dewey)
-            }
-            fn try_keyword_deweys_into(
-                &self,
-                keyword: &str,
-                arena: &mut xks_xmltree::DeweyListBuf,
-            ) -> Result<usize, SourceError> {
-                (**self).try_keyword_deweys_into(keyword, arena)
-            }
-            fn try_resolve(
-                &self,
-                query: &Query,
-            ) -> Result<Option<KeywordNodeSets>, SourceError> {
-                (**self).try_resolve(query)
             }
         }
     )*};
@@ -255,6 +150,76 @@ macro_rules! delegate_corpus_source {
 
 use std::sync::Arc;
 delegate_corpus_source!(Box, Arc);
+
+/// The parsed-tree backend behind [`SearchEngine::new`]: the tree and
+/// its in-memory inverted index, answering the two storage questions
+/// directly. Node facts are read off the tree on demand (own-content
+/// features included), so a tree engine holds nothing beyond the tree
+/// and the index.
+///
+/// [`SearchEngine::new`]: crate::engine::SearchEngine::new
+#[derive(Debug)]
+pub struct TreeCorpus {
+    tree: XmlTree,
+    index: InvertedIndex,
+}
+
+impl TreeCorpus {
+    /// Indexes `tree` (the inverted index is built here).
+    #[must_use]
+    pub fn new(tree: XmlTree) -> Self {
+        let index = InvertedIndex::build(&tree);
+        TreeCorpus { tree, index }
+    }
+
+    /// The parsed document.
+    #[must_use]
+    pub fn tree(&self) -> &XmlTree {
+        &self.tree
+    }
+
+    /// The inverted index over the document.
+    #[must_use]
+    pub fn index(&self) -> &InvertedIndex {
+        &self.index
+    }
+}
+
+impl CorpusSource for TreeCorpus {
+    fn keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
+        Ok(self.index.postings(keyword).to_vec())
+    }
+
+    fn element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
+        Ok(self.tree.node_by_dewey(dewey).map(|id| SourceElement {
+            label: self.tree.node(id).label.as_u32(),
+            level: dewey.level() as u32,
+            keyword_cid: content_feature(&node_content(&self.tree, id)),
+        }))
+    }
+
+    fn element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
+        Ok(self
+            .tree
+            .node_by_dewey(dewey)
+            .map(|id| self.tree.node(id).label.as_u32()))
+    }
+
+    fn label_name(&self, label: u32) -> Option<String> {
+        let labels = self.tree.labels();
+        ((label as usize) < labels.len()).then(|| labels.name(LabelId(label)).to_owned())
+    }
+
+    fn keyword_stats(&self, keyword: &str) -> Option<KeywordStats> {
+        // The in-memory index is sealed by construction.
+        let postings = self.index.postings(keyword);
+        Some(KeywordStats {
+            postings: postings.len() as u64,
+            docs: crate::plan::doc_frequency(postings),
+            ..KeywordStats::default()
+        })
+    }
+}
 
 /// The in-memory backend: shredded tables plus the derived own-content
 /// features (the shredder stores subtree features only; the keyword-node
@@ -269,7 +234,7 @@ pub struct MemoryCorpus {
     doc: ShreddedDoc,
     postings: HashMap<String, Vec<Dewey>>,
     elements: HashMap<Dewey, SourceElement>,
-    stats: HashMap<String, crate::plan::KeywordStats>,
+    stats: HashMap<String, KeywordStats>,
 }
 
 impl MemoryCorpus {
@@ -296,7 +261,6 @@ impl MemoryCorpus {
                     label: row.label,
                     level: row.level,
                     keyword_cid: own_features.get(&row.dewey).cloned(),
-                    subtree_cid: row.content_feature.clone(),
                 };
                 (dewey, element)
             })
@@ -304,9 +268,10 @@ impl MemoryCorpus {
         let stats = postings
             .iter()
             .map(|(kw, deweys)| {
-                let stats = crate::plan::KeywordStats {
+                let stats = KeywordStats {
                     postings: deweys.len() as u64,
                     docs: crate::plan::doc_frequency(deweys),
+                    ..KeywordStats::default()
                 };
                 (kw.clone(), stats)
             })
@@ -353,29 +318,25 @@ pub fn own_content_features(doc: &ShreddedDoc) -> HashMap<String, (String, Strin
 }
 
 impl CorpusSource for MemoryCorpus {
-    fn keyword_deweys(&self, keyword: &str) -> Vec<Dewey> {
+    fn keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
         // One memcpy-style clone of the pre-parsed list; the codes
         // themselves are inline for ordinary document depths.
-        self.postings.get(keyword).cloned().unwrap_or_default()
+        Ok(self.postings.get(keyword).cloned().unwrap_or_default())
     }
 
-    fn element(&self, dewey: &Dewey) -> Option<SourceElement> {
-        self.elements.get(dewey).cloned()
+    fn element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
+        Ok(self.elements.get(dewey).cloned())
     }
 
-    fn element_label(&self, dewey: &Dewey) -> Option<u32> {
-        self.elements.get(dewey).map(|e| e.label)
+    fn element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
+        Ok(self.elements.get(dewey).map(|e| e.label))
     }
 
     fn label_name(&self, label: u32) -> Option<String> {
         self.doc.labels.get(label as usize).cloned()
     }
 
-    fn node_count(&self) -> usize {
-        self.doc.element_count()
-    }
-
-    fn keyword_stats(&self, keyword: &str) -> Option<crate::plan::KeywordStats> {
+    fn keyword_stats(&self, keyword: &str) -> Option<KeywordStats> {
         // In-memory postings are sealed by construction; absent
         // keywords are known absent (zero stats), not unknown.
         Some(self.stats.get(keyword).copied().unwrap_or_default())
@@ -401,43 +362,27 @@ mod tests {
         let c = corpus();
         let liu: Vec<String> = c
             .keyword_deweys("liu")
+            .unwrap()
             .iter()
             .map(ToString::to_string)
             .collect();
         assert_eq!(liu, ["0.2.0.0.0.0", "0.2.0.3.0"]);
-        assert!(c.keyword_deweys("unobtainium").is_empty());
+        assert!(c.keyword_deweys("unobtainium").unwrap().is_empty());
     }
 
     #[test]
-    fn element_exposes_own_and_subtree_features() {
+    fn element_exposes_own_content_feature() {
         let c = corpus();
-        // Leaf title node: own content = subtree content.
-        let title = c.element(&d("0.2.0.1")).unwrap();
+        let title = c.element(&d("0.2.0.1")).unwrap().unwrap();
         assert_eq!(title.keyword_cid, Some(("keyword".into(), "xml".into())));
-        assert_eq!(title.subtree_cid, Some(("keyword".into(), "xml".into())));
         assert_eq!(c.label_name(title.label).as_deref(), Some("title"));
-        // Interior node: own feature spans only its own words, the
-        // subtree feature spans all descendants.
-        let articles = c.element(&d("0.2")).unwrap();
+        // Interior node: the own feature spans only its own words.
+        let articles = c.element(&d("0.2")).unwrap().unwrap();
         assert_eq!(
             articles.keyword_cid,
             Some(("articles".into(), "articles".into()))
         );
-        let (smin, smax) = articles.subtree_cid.clone().unwrap();
-        assert!(smin.as_str() < "articles" || smax.as_str() > "articles");
-        assert!(c.element(&d("0.9.9")).is_none());
-    }
-
-    #[test]
-    fn resolve_builds_keyword_node_sets() {
-        let c = corpus();
-        let q = Query::parse("liu keyword").unwrap();
-        let sets = c.resolve(&q).unwrap();
-        assert_eq!(sets.len(), 2);
-        assert_eq!(sets.set(0).len(), 2);
-        assert!(c
-            .resolve(&Query::parse("liu unobtainium").unwrap())
-            .is_none());
+        assert!(c.element(&d("0.9.9")).unwrap().is_none());
     }
 
     #[test]
@@ -445,6 +390,30 @@ mod tests {
         let c = corpus();
         assert!(c.label_name(0).is_some());
         assert!(c.label_name(9999).is_none());
-        assert!(c.node_count() > 10);
+        let t = TreeCorpus::new(publications());
+        assert_eq!(t.label_name(0), c.label_name(0));
+        assert!(t.label_name(9999).is_none());
+    }
+
+    #[test]
+    fn tree_corpus_answers_like_the_shredded_tables() {
+        let tree = TreeCorpus::new(publications());
+        let memory = corpus();
+        for kw in ["liu", "keyword", "xml", "unobtainium"] {
+            assert_eq!(
+                tree.keyword_deweys(kw).unwrap(),
+                memory.keyword_deweys(kw).unwrap()
+            );
+            assert_eq!(tree.keyword_stats(kw), memory.keyword_stats(kw), "{kw}");
+        }
+        for id in tree.tree().preorder() {
+            let dewey = tree.tree().dewey(id).clone();
+            assert_eq!(
+                tree.element(&dewey).unwrap(),
+                memory.element(&dewey).unwrap(),
+                "{dewey}"
+            );
+        }
+        assert!(tree.element(&d("0.9.9")).unwrap().is_none());
     }
 }

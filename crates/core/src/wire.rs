@@ -158,15 +158,12 @@ pub fn timeout_json(timeout: &SearchTimeout) -> Value {
 }
 
 /// The display name of a fragment-node label, resolved through the
-/// engine's backend (source-backed engines keep labels in the corpus
-/// dictionary, tree-backed engines in the parsed tree).
+/// engine's corpus dictionary.
 fn label_string(engine: &SearchEngine, label: xks_xmltree::LabelId) -> String {
-    match engine.corpus() {
-        Some(source) => source
-            .label_name(label.as_u32())
-            .unwrap_or_else(|| label.to_string()),
-        None => engine.tree().labels().name(label).to_owned(),
-    }
+    engine
+        .corpus()
+        .label_name(label.as_u32())
+        .unwrap_or_else(|| label.to_string())
 }
 
 /// One response as the documented JSON schema (docs/API.md). `limit`

@@ -46,13 +46,6 @@ pub struct QueryContext {
     /// (e.g. vocabulary scans that would churn it) decode into this
     /// buffer instead — a warm arena re-decodes without allocating and
     /// without taking any cache lock.
-    ///
-    /// Sharded scatter-gather leans on the same arena: a resolve
-    /// worker sweeping its share of (keyword × shard) lookups decodes
-    /// **every shard's** run through this one buffer (cleared between
-    /// tasks, capacity retained), so visiting `S` shards costs the
-    /// same scratch memory as visiting one and leaves each shard's
-    /// shared postings cache untouched.
     pub postings: DeweyListBuf,
     /// Scratch buffers for the planner's galloping anchor pass
     /// ([`planned_elca_into_context`]); untouched on the legacy merge

@@ -96,7 +96,7 @@ impl Snapshot {
     ///  "counters":{"name":value,...},
     ///  "gauges":{"name":value,...},
     ///  "ratios":{"name":0.980392,...},
-    ///  "histograms":{"name":{"count":..,"sum":..,"max":..,
+    ///  "histograms":{"name":{"count":..,"sum":..,"max":..,"mean":..,
     ///                        "p50":..,"p90":..,"p99":..,
     ///                        "buckets":[[lo,hi,count],...]},...}}
     /// ```
@@ -151,12 +151,24 @@ fn push_scalar_map(out: &mut String, map: &BTreeMap<String, u64>) {
     }
 }
 
+impl HistogramSnapshot {
+    /// This histogram alone in the `xks-obs/1` histogram form — the
+    /// object [`Snapshot::to_json`] nests under `histograms`.
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        push_histogram(&mut out, self);
+        out
+    }
+}
+
 fn push_histogram(out: &mut String, hist: &HistogramSnapshot) {
     out.push_str(&format!(
-        "{{\"count\":{},\"sum\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
+        "{{\"count\":{},\"sum\":{},\"max\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
         hist.count,
         hist.sum,
         hist.max,
+        hist.mean(),
         hist.p50(),
         hist.p90(),
         hist.p99()

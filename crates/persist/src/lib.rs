@@ -28,8 +28,7 @@
 //! * [`shard`] scales past one file: [`write_sharded`] partitions the
 //!   corpus into N independent `.xks` shards under a CRC'd manifest,
 //!   and [`ShardedCorpus`] opens them back into one logical corpus —
-//!   searched serially through its own `CorpusSource` impl, or with
-//!   scatter-gather via
+//!   a routing `CorpusSource`, searched through its own impl or via
 //!   `SearchEngine::from_shard_set(corpus.shard_set())`; either way
 //!   results stay byte-identical to the unsharded index.
 //!
@@ -40,7 +39,7 @@
 //!
 //! ```
 //! use validrtf::engine::{AlgorithmKind, SearchEngine};
-//! use xks_index::Query;
+//! use validrtf::SearchRequest;
 //! use xks_persist::{IndexReader, IndexWriter};
 //!
 //! let tree = xks_xmltree::parse(
@@ -52,11 +51,11 @@
 //!
 //! let reader = IndexReader::open(&path).unwrap();
 //! let engine = SearchEngine::from_owned_source(reader);
-//! let result = engine.search(
-//!     &Query::parse("xml keyword").unwrap(),
-//!     AlgorithmKind::ValidRtf,
-//! );
-//! assert_eq!(result.fragments.len(), 1);
+//! let request = SearchRequest::parse("xml keyword")
+//!     .unwrap()
+//!     .algorithm(AlgorithmKind::ValidRtf);
+//! let response = engine.execute(&request).unwrap();
+//! assert_eq!(response.hits.len(), 1);
 //! # std::fs::remove_file(&path).unwrap();
 //! ```
 

@@ -590,6 +590,7 @@ impl IndexReader {
             }) => Ok(KeywordStats {
                 postings: count,
                 docs: df,
+                ..KeywordStats::default()
             }),
             Some(DictEntry { count, .. }) => {
                 // v1 file: derive the document frequency lazily.
@@ -606,6 +607,7 @@ impl IndexReader {
                 Ok(KeywordStats {
                     postings: count,
                     docs: df,
+                    ..KeywordStats::default()
                 })
             }
         }
@@ -742,7 +744,6 @@ impl IndexReader {
                 label: record.label,
                 level: record.level,
                 keyword_cid: record.own_cid,
-                subtree_cid: record.subtree_cid,
             })
         });
         self.element_cache.insert(dewey, decoded.clone());
@@ -953,77 +954,36 @@ fn decode_labels(bytes: &[u8], expected: u64) -> Result<Vec<String>, PersistErro
     Ok(labels)
 }
 
+/// Every [`PersistError`] (I/O, truncation, checksum, corruption)
+/// surfaces as a typed [`SourceError`], keeping the engine's execute
+/// path panic-free on any backend failure.
 impl CorpusSource for IndexReader {
-    /// # Panics
-    /// Panics on I/O errors or index corruption detected *after* a
-    /// successful [`IndexReader::open`] (this legacy accessor is
-    /// infallible; the `try_` trait family — what
-    /// `SearchEngine::execute` drives — surfaces the same failures as
-    /// typed errors instead).
-    fn keyword_deweys(&self, keyword: &str) -> Vec<Dewey> {
-        self.try_keyword_deweys(keyword)
-            .unwrap_or_else(|e| panic!("xks-persist: keyword lookup failed: {e}"))
+    fn keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
+        self.try_keyword_deweys(keyword).map_err(SourceError::new)
     }
 
-    fn element(&self, dewey: &Dewey) -> Option<SourceElement> {
-        self.cached_element(dewey)
-            .unwrap_or_else(|e| panic!("xks-persist: element lookup failed: {e}"))
-            .map(|rc| (*rc).clone())
-    }
-
-    fn element_label(&self, dewey: &Dewey) -> Option<u32> {
-        self.cached_element(dewey)
-            .unwrap_or_else(|e| panic!("xks-persist: element lookup failed: {e}"))
-            .map(|rc| rc.label)
-    }
-
-    fn label_name(&self, label: u32) -> Option<String> {
-        self.label(label).map(str::to_owned)
-    }
-
-    fn node_count(&self) -> usize {
-        self.header.element_count as usize
-    }
-
-    fn keyword_stats(&self, keyword: &str) -> Option<KeywordStats> {
-        // An I/O failure degrades to "no sealed stats" (legacy merge
-        // path) rather than surfacing an error mid-planning.
-        IndexReader::keyword_stats(self, keyword).ok()
-    }
-
-    // The fallible family routes every PersistError (I/O, truncation,
-    // checksum, corruption) into a typed SourceError, keeping the
-    // engine's execute path panic-free on any backend failure.
-
-    fn try_keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
-        // Inherent method (returns PersistError), not this trait fn.
-        IndexReader::try_keyword_deweys(self, keyword).map_err(SourceError::new)
-    }
-
-    fn try_element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
+    fn element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
         Ok(self
             .cached_element(dewey)
             .map_err(SourceError::new)?
             .map(|rc| (*rc).clone()))
     }
 
-    fn try_element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
+    fn element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
         Ok(self
             .cached_element(dewey)
             .map_err(SourceError::new)?
             .map(|rc| rc.label))
     }
 
-    fn try_keyword_deweys_into(
-        &self,
-        keyword: &str,
-        arena: &mut DeweyListBuf,
-    ) -> Result<usize, SourceError> {
-        // The cache-bypassing decode: sharded scatter workers sweep
-        // many readers with one warm per-thread arena, so their
-        // traffic never churns this reader's shared postings LRU.
-        self.keyword_postings_into(keyword, arena)
-            .map_err(SourceError::new)
+    fn label_name(&self, label: u32) -> Option<String> {
+        self.label(label).map(str::to_owned)
+    }
+
+    fn keyword_stats(&self, keyword: &str) -> Option<KeywordStats> {
+        // An I/O failure degrades to "no sealed stats" (legacy merge
+        // path) rather than surfacing an error mid-planning.
+        IndexReader::keyword_stats(self, keyword).ok()
     }
 }
 
@@ -1167,10 +1127,11 @@ mod tests {
     #[test]
     fn corpus_source_impl_serves_engine_facts() {
         let (reader, path) = open_publications("source.xks");
-        let title = CorpusSource::element(&reader, &"0.2.0.1".parse().unwrap()).unwrap();
+        let title = CorpusSource::element(&reader, &"0.2.0.1".parse().unwrap())
+            .unwrap()
+            .unwrap();
         assert_eq!(reader.label_name(title.label).as_deref(), Some("title"));
         assert_eq!(title.keyword_cid, Some(("keyword".into(), "xml".into())));
-        assert_eq!(reader.node_count() as u64, reader.element_count());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1275,7 +1236,9 @@ mod tests {
                         }
                         for row in doc.elements.iter().take(10) {
                             let dewey: Dewey = row.dewey.parse().unwrap();
-                            let element = CorpusSource::element(reader, &dewey).expect("present");
+                            let element = CorpusSource::element(reader, &dewey)
+                                .unwrap()
+                                .expect("present");
                             assert_eq!(element.label, row.label);
                         }
                     }

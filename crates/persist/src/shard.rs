@@ -16,11 +16,11 @@
 //! [`validrtf::shards::ShardSet`] built over the readers: keyword
 //! lookups concatenate per-shard postings in document order, element
 //! lookups route to the owning shard. Hand the set to
-//! [`validrtf::engine::SearchEngine::from_shard_set`] for
-//! scatter-gather execution, or the corpus itself to `from_source` for
-//! the serial routed path — both are byte-identical to an unsharded
-//! index over the same corpus (pinned by
-//! `tests/sharded_differential.rs` against the golden digest).
+//! [`validrtf::engine::SearchEngine::from_shard_set`], or the corpus
+//! itself to `from_source` — both run the same routed path, and both
+//! are byte-identical to an unsharded index over the same corpus
+//! (pinned by `tests/sharded_differential.rs` against the golden
+//! digest).
 //!
 //! See `FORMAT.md` §"Shard manifest" for the byte-level layout.
 
@@ -43,7 +43,7 @@ pub const MANIFEST_MAGIC: [u8; 4] = *b"XKSM";
 /// Manifest format version this build writes. Version 2 appends
 /// per-shard planner statistics to each entry: the shard's total
 /// posting count and a keyword Bloom filter
-/// ([`validrtf::plan::KeywordFilter`]) that lets scatter-gather skip
+/// ([`validrtf::plan::KeywordFilter`]) that lets keyword lookups skip
 /// `(keyword, shard)` probes for shards a keyword provably misses.
 /// Version 1 manifests (no stats, no filters) remain readable.
 pub const MANIFEST_VERSION: u16 = 2;
@@ -382,7 +382,7 @@ impl ShardedCorpus {
             readers.push(Arc::new(reader));
         }
         // v2 manifests carry per-shard keyword filters: wire them into
-        // the set so scatter-gather can skip (keyword, shard) probes a
+        // the set so keyword lookups skip (keyword, shard) probes a
         // filter proves empty. v1 entries decode to `None` (no filter,
         // always probed) — same results, no skipping.
         let set = ShardSet::with_filters(
@@ -426,8 +426,8 @@ impl ShardedCorpus {
     }
 
     /// A [`ShardSet`] over this corpus's readers — what
-    /// [`validrtf::engine::SearchEngine::from_shard_set`] consumes for
-    /// scatter-gather execution. Cheap: a clone of the set validated
+    /// [`validrtf::engine::SearchEngine::from_shard_set`] consumes.
+    /// Cheap: a clone of the set validated
     /// at open (`Arc` handles, not readers), so the returned set and
     /// this corpus share buffer pools and caches.
     #[must_use]
@@ -466,15 +466,15 @@ impl xks_obs::MetricSource for ShardedCorpus {
 }
 
 impl CorpusSource for ShardedCorpus {
-    fn keyword_deweys(&self, keyword: &str) -> Vec<Dewey> {
+    fn keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
         self.set.keyword_deweys(keyword)
     }
 
-    fn element(&self, dewey: &Dewey) -> Option<SourceElement> {
+    fn element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
         self.set.element(dewey)
     }
 
-    fn element_label(&self, dewey: &Dewey) -> Option<u32> {
+    fn element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
         self.set.element_label(dewey)
     }
 
@@ -482,24 +482,8 @@ impl CorpusSource for ShardedCorpus {
         self.set.label_name(label)
     }
 
-    fn node_count(&self) -> usize {
-        self.manifest.total_elements as usize
-    }
-
     fn keyword_stats(&self, keyword: &str) -> Option<validrtf::plan::KeywordStats> {
         self.set.keyword_stats(keyword)
-    }
-
-    fn try_keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
-        self.set.try_keyword_deweys(keyword)
-    }
-
-    fn try_element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
-        self.set.try_element(dewey)
-    }
-
-    fn try_element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
-        self.set.try_element_label(dewey)
     }
 }
 
@@ -590,19 +574,17 @@ mod tests {
         let v1_corpus = ShardedCorpus::open(&path).unwrap();
         let set = v1_corpus.shard_set();
         for kw in ["liu", "keyword", "xml", "unobtainium"] {
-            assert_eq!(set.shard_skips(kw), 0, "{kw}: v1 manifest has no filters");
+            let v1 = v1_corpus.keyword_stats(kw).unwrap();
+            let v2 = v2_corpus.keyword_stats(kw).unwrap();
+            assert_eq!(v1.shards_skipped, 0, "{kw}: v1 manifest has no filters");
             assert_eq!(
-                v1_corpus.keyword_deweys(kw),
-                v2_corpus.keyword_deweys(kw),
+                v1_corpus.keyword_deweys(kw).unwrap(),
+                v2_corpus.keyword_deweys(kw).unwrap(),
                 "{kw}"
             );
             // Per-shard stats come from the shard readers, not the
             // manifest, so the planner still sees sealed stats.
-            assert_eq!(
-                v1_corpus.keyword_stats(kw),
-                v2_corpus.keyword_stats(kw),
-                "{kw}"
-            );
+            assert_eq!((v1.postings, v1.docs), (v2.postings, v2.docs), "{kw}");
         }
         let engine = validrtf::engine::SearchEngine::from_shard_set(set);
         let response = engine
@@ -621,16 +603,19 @@ mod tests {
         let memory = validrtf::source::MemoryCorpus::new(doc.clone());
         for kw in ["liu", "keyword", "xml", "publications", "unobtainium"] {
             assert_eq!(
-                corpus.try_keyword_deweys(kw).unwrap(),
-                memory.keyword_deweys(kw),
+                corpus.keyword_deweys(kw).unwrap(),
+                memory.keyword_deweys(kw).unwrap(),
                 "{kw}"
             );
         }
         for row in &doc.elements {
             let dewey: Dewey = row.dewey.parse().unwrap();
-            assert_eq!(corpus.element(&dewey), memory.element(&dewey), "{dewey}");
+            assert_eq!(
+                corpus.element(&dewey).unwrap(),
+                memory.element(&dewey).unwrap(),
+                "{dewey}"
+            );
         }
-        assert_eq!(corpus.node_count(), memory.node_count());
         assert_eq!(corpus.label_name(0), memory.label_name(0));
         corpus.verify().unwrap();
     }

@@ -2,27 +2,32 @@
 //! errors — never panics — whether the damage hits the header, an
 //! eagerly-validated section, or a lazily-read one.
 
+#[path = "../../../tests/common/tempdir.rs"]
+mod tempdir;
+
 use std::fs;
 use std::path::PathBuf;
+
+use tempdir::TempDir;
 
 use xks_persist::format::{Section, HEADER_LEN};
 use xks_persist::{IndexReader, IndexWriter, PersistError};
 use xks_xmltree::fixtures::publications;
 
-fn fresh_index(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("xks-persist-corruption-test");
-    fs::create_dir_all(&dir).unwrap();
+/// Writes the publications fixture as `name` into a fresh directory
+/// (kept alive by the returned guard).
+fn fresh_index(name: &str) -> (TempDir, PathBuf) {
+    let dir = TempDir::new("persist-corruption");
     let path = dir.join(name);
     IndexWriter::new()
         .write_tree(&publications(), &path)
         .unwrap();
-    path
+    (dir, path)
 }
 
 #[test]
 fn empty_file_is_truncated() {
-    let dir = std::env::temp_dir().join("xks-persist-corruption-test");
-    fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("persist-corruption");
     let path = dir.join("empty.xks");
     fs::write(&path, b"").unwrap();
     assert!(matches!(
@@ -34,8 +39,7 @@ fn empty_file_is_truncated() {
 
 #[test]
 fn garbage_file_is_bad_magic() {
-    let dir = std::env::temp_dir().join("xks-persist-corruption-test");
-    fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("persist-corruption");
     let path = dir.join("garbage.xks");
     fs::write(&path, vec![0xABu8; 4096]).unwrap();
     assert!(matches!(
@@ -49,7 +53,7 @@ fn garbage_file_is_bad_magic() {
 
 #[test]
 fn truncated_header_detected() {
-    let path = fresh_index("trunc-header.xks");
+    let (_dir, path) = fresh_index("trunc-header.xks");
     let bytes = fs::read(&path).unwrap();
     fs::write(&path, &bytes[..HEADER_LEN / 2]).unwrap();
     assert!(matches!(
@@ -63,7 +67,7 @@ fn truncated_header_detected() {
 fn truncated_body_detected_at_open() {
     // Keep the header intact but cut the file before the promised
     // section ends: the directory bounds check must catch it.
-    let path = fresh_index("trunc-body.xks");
+    let (_dir, path) = fresh_index("trunc-body.xks");
     let bytes = fs::read(&path).unwrap();
     fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
     assert!(matches!(
@@ -75,7 +79,7 @@ fn truncated_body_detected_at_open() {
 
 #[test]
 fn wrong_version_detected() {
-    let path = fresh_index("version.xks");
+    let (_dir, path) = fresh_index("version.xks");
     let mut bytes = fs::read(&path).unwrap();
     bytes[4] = 99;
     bytes[5] = 0;
@@ -89,7 +93,7 @@ fn wrong_version_detected() {
 
 #[test]
 fn header_bitflip_is_checksum_mismatch() {
-    let path = fresh_index("header-flip.xks");
+    let (_dir, path) = fresh_index("header-flip.xks");
     let mut bytes = fs::read(&path).unwrap();
     bytes[16] ^= 0x01; // inside element_count
     fs::write(&path, &bytes).unwrap();
@@ -103,7 +107,7 @@ fn header_bitflip_is_checksum_mismatch() {
 #[test]
 fn label_section_bitflip_fails_open() {
     // The label dictionary is the one eagerly-validated section.
-    let path = fresh_index("labels-flip.xks");
+    let (_dir, path) = fresh_index("labels-flip.xks");
     let bytes = fs::read(&path).unwrap();
     let header = xks_persist::format::Header::decode(&bytes).unwrap();
     let labels = header.section(Section::Labels);
@@ -121,7 +125,7 @@ fn label_section_bitflip_fails_open() {
 fn postings_bitflip_passes_open_but_fails_verify() {
     // Lazily-read sections are not validated at open (that is the
     // point of paged reads); `verify()` must still catch the damage.
-    let path = fresh_index("postings-flip.xks");
+    let (_dir, path) = fresh_index("postings-flip.xks");
     let bytes = fs::read(&path).unwrap();
     let header = xks_persist::format::Header::decode(&bytes).unwrap();
     let postings = header.section(Section::Postings);
@@ -140,7 +144,7 @@ fn postings_bitflip_passes_open_but_fails_verify() {
 
 #[test]
 fn element_section_bitflip_fails_verify() {
-    let path = fresh_index("elements-flip.xks");
+    let (_dir, path) = fresh_index("elements-flip.xks");
     let bytes = fs::read(&path).unwrap();
     let header = xks_persist::format::Header::decode(&bytes).unwrap();
     let elements = header.section(Section::Elements);
@@ -162,7 +166,7 @@ fn hostile_counts_in_lazy_sections_stay_typed_errors() {
     // Corrupt an element row's component-count varint into a huge
     // value: lazy reads skip CRCs, so the decoder itself must clamp
     // allocations and fail with a typed error — not abort.
-    let path = fresh_index("hostile-count.xks");
+    let (_dir, path) = fresh_index("hostile-count.xks");
     let mut bytes = fs::read(&path).unwrap();
     let header = xks_persist::format::Header::decode(&bytes).unwrap();
     let elements = header.section(Section::Elements);
@@ -189,7 +193,7 @@ fn mismatched_offset_array_rejected_at_open() {
     // A header whose element count disagrees with the offset-array
     // length (CRC re-sealed so only the count lies) must be rejected
     // before any lookup can multiply the bogus count.
-    let path = fresh_index("bad-count.xks");
+    let (_dir, path) = fresh_index("bad-count.xks");
     let mut bytes = fs::read(&path).unwrap();
     bytes[12..20].copy_from_slice(&u64::MAX.to_le_bytes()); // element_count
     let crc = xks_persist::codec::crc32(&bytes[..HEADER_LEN - 4]);
@@ -204,7 +208,7 @@ fn mismatched_offset_array_rejected_at_open() {
 
 #[test]
 fn clean_file_passes_everything() {
-    let path = fresh_index("clean.xks");
+    let (_dir, path) = fresh_index("clean.xks");
     let reader = IndexReader::open(&path).unwrap();
     reader.verify().unwrap();
     assert!(!reader.try_keyword_deweys("keyword").unwrap().is_empty());

@@ -4,32 +4,25 @@
 //! record. Random single-byte corruption gets the same guarantee: the
 //! per-frame CRC turns any damage into truncation or a typed error.
 
-use std::path::PathBuf;
+#[path = "../../../tests/common/tempdir.rs"]
+mod tempdir;
 
 use proptest::prelude::*;
+use tempdir::TempDir;
 use xks_persist::wal::{Wal, WalRecord, WalScan, NO_MANIFEST_CRC, WAL_HEADER_LEN};
 use xks_persist::{Injector, PersistError};
-
-fn temp_wal(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("xks-wal-torn-tail-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(name);
-    let _ = std::fs::remove_file(&path);
-    path
-}
 
 /// Writes `records` through the real append path and returns the log's
 /// bytes (header + frames, every frame fsynced).
 fn wal_bytes(name: &str, base_crc: u32, records: &[WalRecord]) -> Vec<u8> {
-    let path = temp_wal(name);
+    let dir = TempDir::new("wal-torn-tail");
+    let path = dir.join(name);
     let mut wal = Wal::create(&path, base_crc, Injector::none()).unwrap();
     for record in records {
         wal.append(record).unwrap();
     }
     drop(wal);
-    let bytes = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).unwrap();
-    bytes
+    std::fs::read(&path).unwrap()
 }
 
 /// The property itself: scanning any prefix of a valid log never

@@ -11,8 +11,8 @@
 //! 1. **Document contiguity.** Part `i` owns the documents whose
 //!    top-level ordinal lies in `[first_doc(i), first_doc(i+1))`, so
 //!    concatenating per-part posting lists in part order yields a
-//!    globally document-ordered list — the scatter-gather merge is a
-//!    plain concatenation, never a k-way merge.
+//!    globally document-ordered list — the sharded merge is a plain
+//!    concatenation, never a k-way merge.
 //! 2. **Root ownership.** Rows of the corpus root itself (Dewey `0`,
 //!    one component) — its element row and any value rows its own
 //!    label/text contributes — go to part 0 exactly once, so no

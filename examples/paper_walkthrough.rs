@@ -6,34 +6,54 @@
 //! cargo run --example paper_walkthrough
 //! ```
 
+use std::sync::Arc;
+
 use xks::core::spec::{enumerate_ect, spec_rtfs};
-use xks::core::{AlgorithmKind, SearchEngine, SearchRequest};
+use xks::core::{AlgorithmKind, SearchEngine, SearchRequest, TreeCorpus};
 use xks::index::Query;
 use xks::xmltree::fixtures::{publications, team, PAPER_QUERIES};
+use xks::xmltree::XmlTree;
 
 fn q(s: &str) -> Query {
     Query::parse(s).unwrap()
 }
 
-fn show(engine: &SearchEngine, query: &Query, kind: AlgorithmKind, caption: &str) {
+/// A fixture document and an engine sharing its tree and index.
+struct Fixture {
+    corpus: Arc<TreeCorpus>,
+    engine: SearchEngine,
+}
+
+impl Fixture {
+    fn new(tree: XmlTree) -> Self {
+        let corpus = Arc::new(TreeCorpus::new(tree));
+        let engine = SearchEngine::from_source(Arc::clone(&corpus) as _);
+        Fixture { corpus, engine }
+    }
+}
+
+fn show(fixture: &Fixture, query: &Query, kind: AlgorithmKind, caption: &str) {
     let request = SearchRequest::from_query(query.clone()).algorithm(kind);
-    let out = engine.execute(&request).expect("tree backend cannot fail");
+    let out = fixture
+        .engine
+        .execute(&request)
+        .expect("tree backend cannot fail");
     println!("--- {caption}");
     for frag in out.fragments() {
         println!("fragment @ {}:", frag.anchor);
-        print!("{}", frag.render(engine.tree()));
+        print!("{}", frag.render(fixture.corpus.tree()));
     }
     println!();
 }
 
 fn main() {
-    let pubs = SearchEngine::new(publications());
-    let club = SearchEngine::new(team());
+    let pubs = Fixture::new(publications());
+    let club = Fixture::new(team());
 
     println!("=== The Figure 1(a) Publications instance ===");
-    println!("{}", pubs.tree());
+    println!("{}", pubs.corpus.tree());
     println!("=== The Figure 1(b) team segment ===");
-    println!("{}", club.tree());
+    println!("{}", club.corpus.tree());
 
     println!(
         "=== Example 1: SLCA vs LCA (Q2 = {:?}) ===",
@@ -109,22 +129,22 @@ fn main() {
     let raw = {
         use xks::core::Fragment;
         use xks::lca::elca_stack;
-        let sets = pubs.index().resolve(&q3).unwrap();
+        let sets = pubs.corpus.index().resolve(&q3).unwrap();
         let anchors = elca_stack(sets.sets());
         let rtfs = xks::core::get_rtf(&anchors, &sets);
-        Fragment::construct(pubs.tree(), &rtfs[0])
+        Fragment::construct(pubs.corpus.tree(), &rtfs[0])
     };
     for node in ["0", "0.2"] {
         let dewey = node.parse().unwrap();
         print!(
             "node {node}:\n{}",
-            raw.render_node_info(pubs.tree(), &dewey, 5).unwrap()
+            raw.render_node_info(pubs.corpus.tree(), &dewey, 5).unwrap()
         );
     }
     println!();
 
     println!("=== Examples 3–4: the ECT_Q enumeration for Q2 ===");
-    let sets = pubs.index().resolve(&q2).unwrap();
+    let sets = pubs.corpus.index().resolve(&q2).unwrap();
     let ect = enumerate_ect(sets.sets()).unwrap();
     println!("|ECT_Q| = {} (the paper counts 11)", ect.len());
     let rtfs = spec_rtfs(sets.sets()).unwrap();

@@ -6,7 +6,9 @@
 //! cargo run --example quickstart -- "skyline query"
 //! ```
 
-use xks::core::{AlgorithmKind, SearchEngine, SearchRequest};
+use std::sync::Arc;
+
+use xks::core::{AlgorithmKind, SearchEngine, SearchRequest, TreeCorpus};
 use xks::xmltree::parse;
 
 const SAMPLE: &str = r#"
@@ -42,7 +44,10 @@ fn main() {
     let tree = parse(SAMPLE).expect("sample document parses");
     println!("Document ({} nodes):\n{tree}", tree.len());
 
-    let engine = SearchEngine::new(tree);
+    // The engine shares the tree with this function, which renders
+    // hits with their original text.
+    let corpus = Arc::new(TreeCorpus::new(tree));
+    let engine = SearchEngine::from_source(Arc::clone(&corpus) as _);
     // The operator grammar understands "quoted phrases", -exclusions,
     // and label:word filters alongside plain keywords.
     let request = match SearchRequest::parse(&query_text) {
@@ -68,7 +73,7 @@ fn main() {
         );
         for hit in &response.hits {
             println!("-- fragment anchored at {}:", hit.fragment.anchor);
-            print!("{}", hit.fragment.render(engine.tree()));
+            print!("{}", hit.fragment.render(corpus.tree()));
         }
         println!();
     }

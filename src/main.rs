@@ -4,12 +4,12 @@
 //! xks search <file.xml> "<query>" ["<query>" ...] [--algo valid|maxmatch|slca] [--top-k N]
 //!            [--format json|text] [--limit N] [--xml] [--rank] [--threads N]
 //!            [--trace] [--trace-out <trace.json>]
-//! xks search --index <file.xks|file.xksm> "<query>" ... [same flags] [--shard-threads N]
+//! xks search --index <file.xks|file.xksm> "<query>" ... [same flags]
 //! xks serve  --index <file.xks|file.xksm> [--addr H:P] [--workers N] [--queue-depth N] [--timeout-ms N]
 //! xks bench  --index <file.xks|file.xksm> --queries <queries.txt> [--threads N] [--sweeps N] [--algo ...] [--format json|text]
 //! xks compare <file.xml> "<query>" [--format json|text]
 //! xks stats <file.xml> [--top N]
-//! xks stats --index <file.xks|file.xksm> [--queries <queries.txt>] [--threads N] [--algo ...] [--shard-threads N]
+//! xks stats --index <file.xks|file.xksm> [--queries <queries.txt>] [--threads N] [--algo ...]
 //! xks shred <file.xml> <out.json>
 //! xks build-index <file.xml> <out.xks> [--page-size N]
 //! xks build-index <file.xml> <out.xksm> --shards N [--page-size N]
@@ -28,9 +28,8 @@
 //!
 //! `--index` accepts either a monolithic `.xks` index or a shard
 //! manifest written by `build-index --shards N` — the file magic
-//! decides, not the extension. Sharded corpora are searched with
-//! scatter-gather (`--shard-threads` caps the per-query fan-out);
-//! results are byte-identical either way.
+//! decides, not the extension. Sharded corpora are searched through
+//! one routing corpus; results are byte-identical either way.
 //!
 //! Mutable corpora (docs/DURABILITY.md): `insert`/`delete` append to a
 //! WAL-backed corpus *directory* (created on first insert), `compact`
@@ -56,9 +55,9 @@ use xks::core::algorithms::StageTimings;
 use xks::core::engine::{AlgorithmKind, SearchEngine};
 use xks::core::executor::run_batch_stats;
 use xks::core::wire::{self, obj};
-use xks::core::{RankWeights, SearchRequest, SearchResponse};
+use xks::core::{RankWeights, SearchRequest, SearchResponse, TreeCorpus};
 use xks::index::Query;
-use xks::obs::{HistogramSnapshot, MetricSource, QueryTrace};
+use xks::obs::{MetricSource, QueryTrace};
 use xks::persist::{
     preregister_durability_metrics, IndexReader, IndexWriter, MutableCorpus, ShardedCorpus,
 };
@@ -104,16 +103,16 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   xks search  <file.xml> \"<query>\" [\"<query>\" ...] [--algo valid|maxmatch|slca] [--top-k N] [--format json|text] [--limit N] [--xml] [--rank] [--threads N] [--trace] [--trace-out <trace.json>]
-  xks search  --index <file.xks|file.xksm> \"<query>\" [\"<query>\" ...] [same flags, no --xml] [--shard-threads N]
-  xks serve   --index <file.xks|file.xksm> | --corpus <dir> | <file.xml>  [--addr HOST:PORT] [--workers N] [--queue-depth N] [--timeout-ms N] [--drain-ms N] [--idle-ms N] [--max-body-bytes N] [--shard-threads N]
+  xks search  --index <file.xks|file.xksm> \"<query>\" [\"<query>\" ...] [same flags, no --xml]
+  xks serve   --index <file.xks|file.xksm> | --corpus <dir> | <file.xml>  [--addr HOST:PORT] [--workers N] [--queue-depth N] [--timeout-ms N] [--drain-ms N] [--idle-ms N] [--max-body-bytes N]
   xks explain \"<query>\" --index <file.xks|file.xksm> [--algo valid|maxmatch|slca] [--format json|text]
   xks explain <file.xml> \"<query>\" [same flags]
   xks explain \"<query>\" --corpus <dir> [same flags]
-  xks bench   --index <file.xks|file.xksm> --queries <queries.txt> [--threads N] [--sweeps N] [--algo valid|maxmatch|slca] [--top-k N] [--format json|text] [--shard-threads N]
+  xks bench   --index <file.xks|file.xksm> --queries <queries.txt> [--threads N] [--sweeps N] [--algo valid|maxmatch|slca] [--top-k N] [--format json|text]
   xks bench   <file.xml> --queries <queries.txt> [same flags]
   xks compare <file.xml> \"<query>\" [--format json|text]
   xks stats   <file.xml> [--top N]
-  xks stats   --index <file.xks|file.xksm> [--queries <queries.txt>] [--threads N] [--algo valid|maxmatch|slca] [--top-k N] [--shard-threads N]
+  xks stats   --index <file.xks|file.xksm> [--queries <queries.txt>] [--threads N] [--algo valid|maxmatch|slca] [--top-k N]
   xks shred   <file.xml> <out.json>
   xks build-index <file.xml> <out.xks> [--page-size N]
   xks build-index <file.xml> <out.xksm> --shards N [--page-size N]
@@ -158,19 +157,14 @@ fn is_shard_manifest(path: &str) -> Result<bool, String> {
     }
 }
 
-/// Opens `--index` as whatever it is: a shard manifest becomes a
-/// scatter-gather engine over a [`ShardedCorpus`] (fan-out from
-/// `--shard-threads`, default `min(shards, cores)`), a monolithic
-/// `.xks` becomes the familiar single-reader engine.
-fn open_index_engine(path: &str, shard_threads: Option<usize>) -> Result<SearchEngine, String> {
+/// Opens `--index` as whatever it is: a shard manifest becomes an
+/// engine over the routed [`ShardedCorpus`] shard set, a monolithic
+/// `.xks` the familiar single-reader engine.
+fn open_index_engine(path: &str) -> Result<SearchEngine, String> {
     if is_shard_manifest(path)? {
         let corpus = ShardedCorpus::open(Path::new(path))
             .map_err(|e| format!("cannot open sharded index {path}: {e}"))?;
-        let mut engine = SearchEngine::from_shard_set(corpus.shard_set());
-        if let Some(threads) = shard_threads {
-            engine = engine.with_scatter_threads(threads);
-        }
-        Ok(engine)
+        Ok(SearchEngine::from_shard_set(corpus.shard_set()))
     } else {
         let reader = IndexReader::open(Path::new(path))
             .map_err(|e| format!("cannot open index {path}: {e}"))?;
@@ -254,7 +248,9 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
         .map(|ms| Duration::from_millis(ms as u64));
 
     // One or more query strings; several queries fan out over the
-    // executor's worker threads (`--threads N`).
+    // executor's worker threads (`--threads N`). An XML file's parsed
+    // tree stays shared with the engine so hits render original text.
+    let mut tree = None;
     let (engine, query_args) = if let Some(dir) = flags.get_str("corpus") {
         let queries = positional.as_slice();
         if queries.is_empty() {
@@ -284,7 +280,7 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
                             .to_owned(),
                     );
                 }
-                let engine = open_index_engine(index_file, flags.get_usize("shard-threads")?)?;
+                let engine = open_index_engine(index_file)?;
                 (engine, queries)
             }
             None => {
@@ -294,7 +290,9 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
                 if queries.is_empty() {
                     return Err(format!("search needs <file.xml> and <query>\n{USAGE}"));
                 }
-                (SearchEngine::new(load_tree(file)?), queries)
+                let corpus = Arc::new(TreeCorpus::new(load_tree(file)?));
+                tree = Some(Arc::clone(&corpus));
+                (SearchEngine::from_source(corpus), queries)
             }
         }
     };
@@ -327,7 +325,8 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
                 json_results.push(wire::response_json(&engine, request, &response, limit))
             }
             Format::Text => {
-                print_text_response(&engine, request, &response, limit, as_xml, many);
+                let tree = tree.as_deref().map(TreeCorpus::tree);
+                print_text_response(&engine, tree, request, &response, limit, as_xml, many);
                 if let Some(trace) = &response.trace {
                     print_text_trace(trace);
                 }
@@ -409,10 +408,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             if is_shard_manifest(index_file)? {
                 let corpus = ShardedCorpus::open(Path::new(index_file))
                     .map_err(|e| format!("cannot open sharded index {index_file}: {e}"))?;
-                let mut engine = SearchEngine::from_shard_set(corpus.shard_set());
-                if let Some(threads) = flags.get_usize("shard-threads")? {
-                    engine = engine.with_scatter_threads(threads);
-                }
+                let engine = SearchEngine::from_shard_set(corpus.shard_set());
                 (engine, Some(("index.".to_owned(), Arc::new(corpus) as _)))
             } else {
                 let reader = Arc::new(
@@ -477,7 +473,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
         let [query] = positional.as_slice() else {
             return Err(format!("explain --index needs one <query>\n{USAGE}"));
         };
-        let engine = open_index_engine(index_file, flags.get_usize("shard-threads")?)?;
+        let engine = open_index_engine(index_file)?;
         (engine, query)
     } else {
         let [file, query] = positional.as_slice() else {
@@ -571,9 +567,13 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
 }
 
 /// The text rendering of one response (the legacy human-readable form,
-/// now with scores and truncation/parse reporting).
+/// now with scores and truncation/parse reporting). With the parsed
+/// `tree` at hand, hits show original text (or XML with `as_xml`);
+/// otherwise they render through the engine's corpus, keyword nodes
+/// marked `*`.
 fn print_text_response(
     engine: &SearchEngine,
+    tree: Option<&XmlTree>,
     request: &SearchRequest,
     response: &SearchResponse,
     limit: usize,
@@ -614,10 +614,10 @@ fn print_text_response(
             Some(score) => println!("# anchor {} (score {score:.3})", hit.fragment.anchor),
             None => println!("# anchor {}", hit.fragment.anchor),
         }
-        match engine.corpus() {
-            Some(source) => print!("{}", hit.fragment.render_source(source)),
-            None if as_xml => println!("{}", hit.fragment.to_xml(engine.tree())),
-            None => print!("{}", hit.fragment.render(engine.tree())),
+        match tree {
+            Some(tree) if as_xml => println!("{}", hit.fragment.to_xml(tree)),
+            Some(tree) => print!("{}", hit.fragment.render(tree)),
+            None => print!("{}", hit.fragment.render_source(engine.corpus())),
         }
     }
     if response.hits.len() > limit {
@@ -669,7 +669,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
                      drop --index to bench an XML document\n{USAGE}"
                 ));
             }
-            open_index_engine(index_file, flags.get_usize("shard-threads")?)?
+            open_index_engine(index_file)?
         }
         None => {
             let [file] = positional.as_slice() else {
@@ -736,7 +736,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
                 ("queries_per_sec", Value::Float(qps)),
                 ("fragments", Value::Num(fragments as u64)),
                 ("stages_us", wire::stage_timings_json(&stages)),
-                ("latency_ns", histogram_json(&lat)),
+                ("latency_ns", obs_json(&lat.to_json())),
             ]);
             if let Some(stats) = &last_stats {
                 fields.insert(
@@ -830,67 +830,11 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
 // The response/timings/trace renderers live in `xks::core::wire`,
 // shared with the HTTP server so both surfaces emit identical bytes.
 
-/// A histogram snapshot as JSON: summary statistics plus the non-empty
-/// `[lo, hi, count]` buckets (mirrors the `xks-obs/1` histogram form).
-fn histogram_json(hist: &HistogramSnapshot) -> Value {
-    Value::Obj(obj([
-        ("count", Value::Num(hist.count)),
-        ("sum", Value::Num(hist.sum)),
-        ("max", Value::Num(hist.max)),
-        ("mean", Value::Num(hist.mean())),
-        ("p50", Value::Num(hist.p50())),
-        ("p90", Value::Num(hist.p90())),
-        ("p99", Value::Num(hist.p99())),
-        (
-            "buckets",
-            Value::Arr(
-                hist.nonzero_buckets()
-                    .map(|(lo, hi, n)| {
-                        Value::Arr(vec![Value::Num(lo), Value::Num(hi), Value::Num(n)])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]))
-}
-
-/// An `xks-obs` snapshot as a JSON value (for embedding inside another
-/// document; `xks stats --index` prints the canonical string form).
-fn snapshot_json(snap: &xks::obs::Snapshot) -> Value {
-    Value::Obj(obj([
-        (
-            "counters",
-            Value::Obj(
-                snap.counters()
-                    .map(|(name, v)| (name.to_owned(), Value::Num(v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "gauges",
-            Value::Obj(
-                snap.gauges()
-                    .map(|(name, v)| (name.to_owned(), Value::Num(v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "ratios",
-            Value::Obj(
-                snap.ratios()
-                    .map(|(name, v)| (name.to_owned(), Value::Float(v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "histograms",
-            Value::Obj(
-                snap.histograms()
-                    .map(|(name, h)| (name.to_owned(), histogram_json(h)))
-                    .collect(),
-            ),
-        ),
-    ]))
+/// Embeds an `xks-obs` JSON document (`Snapshot::to_json`,
+/// `HistogramSnapshot::to_json`) in another document, so every surface
+/// shares the one renderer.
+fn obs_json(text: &str) -> Value {
+    json::parse(text).expect("xks-obs renders valid JSON")
 }
 
 // -- remaining commands (unchanged surface) -----------------------------
@@ -955,10 +899,7 @@ fn cmd_stats_index(index_file: &str, flags: &Flags) -> Result<(), String> {
     let (engine, collector) = if is_shard_manifest(index_file)? {
         let corpus = ShardedCorpus::open(Path::new(index_file))
             .map_err(|e| format!("cannot open sharded index {index_file}: {e}"))?;
-        let mut engine = SearchEngine::from_shard_set(corpus.shard_set());
-        if let Some(threads) = flags.get_usize("shard-threads")? {
-            engine = engine.with_scatter_threads(threads);
-        }
+        let engine = SearchEngine::from_shard_set(corpus.shard_set());
         (engine, Collector::Sharded(corpus))
     } else {
         let reader = Arc::new(
@@ -1170,7 +1111,7 @@ fn cmd_index_stats(args: &[String]) -> Result<(), String> {
                     ("metrics", {
                         let mut snap = xks::obs::Snapshot::new();
                         corpus.collect_into("", &mut snap);
-                        snapshot_json(&snap)
+                        obs_json(&snap.to_json())
                     }),
                 ]));
                 println!("{}", json::to_string(&value));
@@ -1216,7 +1157,7 @@ fn cmd_index_stats(args: &[String]) -> Result<(), String> {
             fields.insert("checksums".to_owned(), Value::Str("ok".to_owned()));
             let mut snap = xks::obs::Snapshot::new();
             reader.collect_into("", &mut snap);
-            fields.insert("metrics".to_owned(), snapshot_json(&snap));
+            fields.insert("metrics".to_owned(), obs_json(&snap.to_json()));
             println!("{}", json::to_string(&Value::Obj(fields)));
         }
         Format::Text => {
@@ -1605,11 +1546,11 @@ impl Flags {
 /// Splits positional arguments from `--flag [value]` pairs. Flags taking
 /// values: `algo`, `limit`, `top`, `top-k`, `format`, `index`,
 /// `page-size`, `threads`, `queries`, `sweeps`, `shards`,
-/// `shard-threads`, `trace-out`, `corpus`, `doc`, `root`, `timeout-ms`,
+/// `trace-out`, `corpus`, `doc`, `root`, `timeout-ms`,
 /// and the `serve` knobs (`addr`, `port`, `workers`, `queue-depth`,
 /// `drain-ms`, `idle-ms`, `max-body-bytes`).
 fn split_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
-    const VALUED: [&str; 25] = [
+    const VALUED: [&str; 24] = [
         "out",
         "algo",
         "limit",
@@ -1622,7 +1563,6 @@ fn split_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
         "queries",
         "sweeps",
         "shards",
-        "shard-threads",
         "trace-out",
         "corpus",
         "doc",

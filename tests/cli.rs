@@ -1,14 +1,18 @@
 //! Black-box tests of the `xks` CLI binary.
 
+mod common;
+
+use std::path::{Path, PathBuf};
 use std::process::Command;
+
+use common::TempDir;
 
 fn xks() -> Command {
     Command::new(env!("CARGO_BIN_EXE_xks"))
 }
 
-fn sample_file() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("xks-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
+/// Writes the team fixture into `dir` and returns its path.
+fn sample_file(dir: &Path) -> PathBuf {
     let path = dir.join("team.xml");
     std::fs::write(
         &path,
@@ -24,9 +28,10 @@ fn sample_file() -> std::path::PathBuf {
 
 #[test]
 fn search_demonstrates_deduplication() {
+    let dir = TempDir::new("search_demonstrates_deduplication");
     let out = xks()
         .args(["search"])
-        .arg(sample_file())
+        .arg(sample_file(&dir))
         .args(["grizzlies position", "--xml"])
         .output()
         .expect("binary runs");
@@ -43,9 +48,10 @@ fn search_demonstrates_deduplication() {
 
 #[test]
 fn search_maxmatch_keeps_duplicates() {
+    let dir = TempDir::new("search_maxmatch_keeps_duplicates");
     let out = xks()
         .args(["search"])
-        .arg(sample_file())
+        .arg(sample_file(&dir))
         .args(["grizzlies position", "--xml", "--algo", "maxmatch"])
         .output()
         .expect("binary runs");
@@ -55,10 +61,11 @@ fn search_maxmatch_keeps_duplicates() {
 
 #[test]
 fn search_threads_flag_matches_single_thread() {
+    let dir = TempDir::new("search_threads_flag_matches_single_thread");
     // Three queries so `--threads 3` actually spawns workers (the
     // executor clamps to the batch size); results must come back in
     // input order, byte-identical to the single-thread run.
-    let file = sample_file();
+    let file = sample_file(&dir);
     let run = |threads: &str| {
         let out = xks()
             .args(["search"])
@@ -90,9 +97,8 @@ fn search_threads_flag_matches_single_thread() {
 
 #[test]
 fn bench_batch_mode_reports_throughput() {
-    let dir = std::env::temp_dir().join("xks-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let xml = sample_file();
+    let dir = TempDir::new("bench_batch_mode_reports_throughput");
+    let xml = sample_file(&dir);
     let index = dir.join("team.xks");
     let queries = dir.join("queries.txt");
     std::fs::write(
@@ -135,9 +141,10 @@ fn bench_batch_mode_reports_throughput() {
 
 #[test]
 fn search_format_json_matches_documented_schema() {
+    let dir = TempDir::new("search_format_json_matches_documented_schema");
     let out = xks()
         .args(["search"])
-        .arg(sample_file())
+        .arg(sample_file(&dir))
         .args(["grizzlies position", "--format", "json", "--top-k", "5"])
         .output()
         .expect("binary runs");
@@ -212,12 +219,13 @@ fn search_format_json_matches_documented_schema() {
 
 #[test]
 fn search_top_k_truncates_and_reports() {
+    let dir = TempDir::new("search_top_k_truncates_and_reports");
     // "position" alone anchors one fragment per player-subtree match;
     // use the multi-anchor query "forward" (two forwards) to see
     // truncation.
     let out = xks()
         .args(["search"])
-        .arg(sample_file())
+        .arg(sample_file(&dir))
         .args(["forward", "--format", "json", "--top-k", "1"])
         .output()
         .expect("binary runs");
@@ -236,9 +244,10 @@ fn search_top_k_truncates_and_reports() {
 
 #[test]
 fn search_limit_caps_json_hits_and_reports_omissions() {
+    let dir = TempDir::new("search_limit_caps_json_hits_and_reports_omissions");
     let out = xks()
         .args(["search"])
-        .arg(sample_file())
+        .arg(sample_file(&dir))
         .args(["forward", "--format", "json", "--limit", "1"])
         .output()
         .expect("binary runs");
@@ -263,11 +272,12 @@ fn search_limit_caps_json_hits_and_reports_omissions() {
 
 #[test]
 fn search_operator_grammar_reaches_the_cli() {
+    let dir = TempDir::new("search_operator_grammar_reaches_the_cli");
     // Exclusion: dropping fragments whose subtree contains "gassol".
     let run = |query: &str| {
         let out = xks()
             .args(["search"])
-            .arg(sample_file())
+            .arg(sample_file(&dir))
             .args([query, "--format", "json"])
             .output()
             .expect("binary runs");
@@ -337,9 +347,10 @@ fn search_operator_grammar_reaches_the_cli() {
 
 #[test]
 fn search_bad_grammar_fails_cleanly() {
+    let dir = TempDir::new("search_bad_grammar_fails_cleanly");
     let out = xks()
         .args(["search"])
-        .arg(sample_file())
+        .arg(sample_file(&dir))
         .args(["\"unclosed phrase"])
         .output()
         .expect("binary runs");
@@ -350,9 +361,8 @@ fn search_bad_grammar_fails_cleanly() {
 
 #[test]
 fn bench_format_json_reports_throughput() {
-    let dir = std::env::temp_dir().join("xks-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let xml = sample_file();
+    let dir = TempDir::new("bench_format_json_reports_throughput");
+    let xml = sample_file(&dir);
     let queries = dir.join("queries-json.txt");
     std::fs::write(&queries, "grizzlies position\nforward\n").unwrap();
 
@@ -379,9 +389,10 @@ fn bench_format_json_reports_throughput() {
 
 #[test]
 fn compare_format_json() {
+    let dir = TempDir::new("compare_format_json");
     let out = xks()
         .args(["compare"])
-        .arg(sample_file())
+        .arg(sample_file(&dir))
         .args(["grizzlies position", "--format", "json"])
         .output()
         .expect("binary runs");
@@ -396,9 +407,10 @@ fn compare_format_json() {
 
 #[test]
 fn compare_prints_effectiveness() {
+    let dir = TempDir::new("compare_prints_effectiveness");
     let out = xks()
         .args(["compare"])
-        .arg(sample_file())
+        .arg(sample_file(&dir))
         .args(["grizzlies position"])
         .output()
         .expect("binary runs");
@@ -410,7 +422,12 @@ fn compare_prints_effectiveness() {
 
 #[test]
 fn stats_reports_counts() {
-    let out = xks().args(["stats"]).arg(sample_file()).output().unwrap();
+    let dir = TempDir::new("stats_reports_counts");
+    let out = xks()
+        .args(["stats"])
+        .arg(sample_file(&dir))
+        .output()
+        .unwrap();
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("nodes          : 12"), "{stdout}");
@@ -418,10 +435,11 @@ fn stats_reports_counts() {
 
 #[test]
 fn shred_writes_snapshot() {
-    let out_path = std::env::temp_dir().join("xks-cli-test/tables.json");
+    let dir = TempDir::new("shred_writes_snapshot");
+    let out_path = dir.join("tables.json");
     let out = xks()
         .args(["shred"])
-        .arg(sample_file())
+        .arg(sample_file(&dir))
         .arg(&out_path)
         .output()
         .unwrap();
@@ -446,8 +464,7 @@ fn bad_usage_fails_cleanly() {
 
 #[test]
 fn sharded_index_matches_monolithic_through_the_cli() {
-    let dir = std::env::temp_dir().join("xks-cli-test-sharded");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("sharded_index_matches_monolithic_through_the_cli");
     let xml = dir.join("corpus.xml");
     std::fs::write(
         &xml,
@@ -487,12 +504,11 @@ fn sharded_index_matches_monolithic_through_the_cli() {
     // search --index sniffs the magic: the manifest and the monolithic
     // index must produce identical results (hits and stats — the
     // timings_us block is wall clock and may differ).
-    let run = |index: &std::path::Path, extra: &[&str]| {
+    let run = |index: &Path| {
         let out = xks()
             .args(["search", "--index"])
             .arg(index)
             .args(["keyword search", "liu", "--format", "json"])
-            .args(extra)
             .output()
             .unwrap();
         assert!(
@@ -506,9 +522,9 @@ fn sharded_index_matches_monolithic_through_the_cli() {
             .iter()
             .map(|r| {
                 // `shards_skipped` is honestly backend-dependent —
-                // only the scatter-gather path can skip filtered
-                // shards — so it is asserted separately, not in the
-                // byte-equality check.
+                // only a sharded index can skip filtered shards — so
+                // it is asserted separately, not in the byte-equality
+                // check.
                 let mut stats = r.get("stats").unwrap().clone();
                 let skipped = match &mut stats {
                     xks::store::json::Value::Obj(map) => map.remove("shards_skipped").unwrap(),
@@ -522,25 +538,19 @@ fn sharded_index_matches_monolithic_through_the_cli() {
             })
             .collect::<Vec<_>>()
     };
-    let mono_out = run(&mono, &[]);
+    let mono_out = run(&mono);
     assert_eq!(mono_out.len(), 2, "one result per query");
-    let sharded_out = run(&manifest, &[]);
+    let sharded_out = run(&manifest);
     for ((m_hits, m_stats, m_skipped), (s_hits, s_stats, _)) in mono_out.iter().zip(&sharded_out) {
-        assert_eq!(m_hits, s_hits, "default fan-out hits");
-        assert_eq!(m_stats, s_stats, "default fan-out stats");
+        assert_eq!(m_hits, s_hits, "sharded hits");
+        assert_eq!(m_stats, s_stats, "sharded stats");
         assert_eq!(m_skipped, "0", "monolithic index never skips shards");
     }
-    assert_eq!(
-        sharded_out,
-        run(&manifest, &["--shard-threads", "2"]),
-        "explicit fan-out"
-    );
 }
 
 #[test]
 fn explain_reports_the_plan_on_text_and_json() {
-    let dir = std::env::temp_dir().join("xks-cli-test-explain");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("explain_reports_the_plan_on_text_and_json");
     let xml = dir.join("skew.xml");
     // 20 "common" occurrences vs 1 "rare": enough skew for the
     // planner to pick the galloping strategy with "rare" driving.
@@ -623,8 +633,7 @@ fn explain_reports_the_plan_on_text_and_json() {
 
 #[test]
 fn sharded_index_stats_json_schema() {
-    let dir = std::env::temp_dir().join("xks-cli-test-sharded-stats");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("sharded_index_stats_json_schema");
     let xml = dir.join("corpus.xml");
     std::fs::write(&xml, "<r><a><t>alpha beta</t></a><b><t>gamma</t></b></r>").unwrap();
     let manifest = dir.join("corpus.xksm");
@@ -697,9 +706,8 @@ fn sharded_index_stats_json_schema() {
 
 #[test]
 fn search_trace_reports_stage_spans_on_both_backends() {
-    let dir = std::env::temp_dir().join("xks-cli-test-trace");
-    std::fs::create_dir_all(&dir).unwrap();
-    let xml = sample_file();
+    let dir = TempDir::new("search_trace_reports_stage_spans_on_both_backends");
+    let xml = sample_file(&dir);
     let index = dir.join("team.xks");
     assert!(xks()
         .args(["build-index"])
@@ -796,8 +804,7 @@ fn search_trace_reports_stage_spans_on_both_backends() {
 
 #[test]
 fn stats_index_dumps_registry_snapshot() {
-    let dir = std::env::temp_dir().join("xks-cli-test-stats-index");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("stats_index_dumps_registry_snapshot");
     let xml = dir.join("corpus.xml");
     std::fs::write(
         &xml,
@@ -887,8 +894,7 @@ fn stats_index_dumps_registry_snapshot() {
 
 #[test]
 fn index_stats_json_carries_metrics_section() {
-    let dir = std::env::temp_dir().join("xks-cli-test-index-metrics");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("index_stats_json_carries_metrics_section");
     let xml = dir.join("corpus.xml");
     std::fs::write(&xml, "<r><a><t>alpha beta</t></a><b><t>gamma</t></b></r>").unwrap();
     let mono = dir.join("corpus.xks");
@@ -941,9 +947,7 @@ fn mutable_corpus_lifecycle_through_the_cli() {
     // docs/DURABILITY.md driven exactly as a user would drive it, with
     // a process boundary (and therefore a crash recovery) between
     // every step.
-    let dir = std::env::temp_dir().join("xks-cli-test-mutable");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("mutable_corpus_lifecycle_through_the_cli");
     let corpus = dir.join("corpus");
     let doc_a = dir.join("a.xml");
     let doc_b = dir.join("b.xml");
@@ -1072,8 +1076,7 @@ fn mutable_corpus_lifecycle_through_the_cli() {
 
 #[test]
 fn verify_detects_corruption_and_exits_nonzero() {
-    let dir = std::env::temp_dir().join("xks-cli-test-verify");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("verify_detects_corruption_and_exits_nonzero");
     let xml = dir.join("corpus.xml");
     std::fs::write(&xml, "<r><a><t>alpha beta</t></a><b><t>gamma</t></b></r>").unwrap();
     let index = dir.join("corpus.xks");
@@ -1117,8 +1120,7 @@ fn build_index_shards_one_still_writes_a_manifest() {
     // computed shard count of 1 (or 0) must produce the manifest
     // format, not silently fall back to a monolithic .xks at the
     // .xksm path.
-    let dir = std::env::temp_dir().join("xks-cli-test-shards-one");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("build_index_shards_one_still_writes_a_manifest");
     let xml = dir.join("corpus.xml");
     std::fs::write(&xml, "<r><a><t>alpha</t></a><b><t>beta</t></b></r>").unwrap();
     for shards in ["1", "0"] {
@@ -1145,12 +1147,13 @@ fn build_index_shards_one_still_writes_a_manifest() {
 
 #[test]
 fn search_timeout_ms_zero_is_a_typed_timeout() {
+    let dir = TempDir::new("search_timeout_ms_zero_is_a_typed_timeout");
     // A zero budget deterministically expires before the first
     // pipeline stage: the CLI must report the typed deadline error
     // (stage and elapsed time), not a generic failure or a hang.
     let out = xks()
         .args(["search"])
-        .arg(sample_file())
+        .arg(sample_file(&dir))
         .args(["grizzlies", "--timeout-ms", "0"])
         .output()
         .expect("binary runs");
@@ -1162,7 +1165,7 @@ fn search_timeout_ms_zero_is_a_typed_timeout() {
     // A generous budget changes nothing about the results.
     let out = xks()
         .args(["search"])
-        .arg(sample_file())
+        .arg(sample_file(&dir))
         .args(["grizzlies", "--timeout-ms", "60000", "--format", "json"])
         .output()
         .unwrap();
@@ -1172,11 +1175,12 @@ fn search_timeout_ms_zero_is_a_typed_timeout() {
 
 #[test]
 fn serve_e2e_requests_then_sigint_drains_and_exits_zero() {
+    let dir = TempDir::new("serve_e2e_requests_then_sigint_drains_and_exits_zero");
     use std::io::BufRead as _;
 
     let mut child = xks()
         .args(["serve"])
-        .arg(sample_file())
+        .arg(sample_file(&dir))
         .args(["--port", "0", "--workers", "2", "--drain-ms", "5000"])
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
@@ -1234,9 +1238,8 @@ fn serve_response_is_byte_identical_to_cli_search_json() {
     // `xks search --index --format json` and `xks serve --index` must
     // produce byte-identical result objects (modulo wall-clock
     // timings) on both the monolithic and sharded backends.
-    let dir = std::env::temp_dir().join("xks-cli-serve-diff");
-    std::fs::create_dir_all(&dir).unwrap();
-    let xml = sample_file();
+    let dir = TempDir::new("serve_response_is_byte_identical_to_cli_search_json");
+    let xml = sample_file(&dir);
     let query = "grizzlies position";
 
     for (name, shard_args) in [
@@ -1404,11 +1407,10 @@ fn workload_show_rejects_unknown_cell() {
 /// `xks bench` on that very corpus with nonzero hits.
 #[test]
 fn workload_generate_feeds_bench_end_to_end() {
-    let dir = std::env::temp_dir().join("xks-cli-workload");
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("workload_generate_feeds_bench_end_to_end");
     let out = xks()
         .args(["workload", "generate", "s1-flat-zipf-single", "--out"])
-        .arg(&dir)
+        .arg(&*dir)
         .output()
         .expect("binary runs");
     assert!(

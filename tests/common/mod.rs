@@ -1,11 +1,14 @@
-//! Helpers shared by the workload-digest tests
-//! (`tests/workload_golden.rs` pins the single-thread results;
-//! `tests/concurrent_differential.rs` re-derives the same digests from
-//! many threads). Both must produce byte-identical lines, so the
-//! format lives here exactly once.
+//! Helpers shared by the integration tests: the workload digest
+//! (`tests/workload_golden.rs` pins the single-thread results; the
+//! differential tests re-derive the same digests from other backends
+//! and threads, so the format lives here exactly once) and the
+//! per-test [`TempDir`].
 
-#![allow(dead_code)] // each test crate uses a subset
+#![allow(dead_code, unused_imports)] // each test crate uses a subset
 
+mod tempdir;
+
+pub use tempdir::TempDir;
 use xks::core::{AlgorithmKind, CorpusSource, Fragment};
 
 /// The golden digest of the 43-query workload × 3 algorithms, captured

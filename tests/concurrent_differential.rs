@@ -14,7 +14,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{digest_line, ALGORITHMS, GOLDEN};
+use common::{digest_line, TempDir, ALGORITHMS, GOLDEN};
 use xks::core::{CorpusSource, MemoryCorpus, QueryContext, SearchEngine, SearchRequest};
 use xks::datagen::queries::{dblp_workload, xmark_workload};
 use xks::datagen::{generate_dblp, generate_xmark, DblpConfig, XmarkConfig, XmarkSize};
@@ -37,7 +37,7 @@ fn digest_corpus(
     engine: &SearchEngine,
     workload: &[(&'static str, String)],
 ) -> Vec<String> {
-    let source = engine.corpus().expect("source-backed engine");
+    let source = engine.corpus();
     let mut ctx = QueryContext::new();
     let mut lines = Vec::new();
     for (abbrev, keywords) in workload {
@@ -115,8 +115,7 @@ fn concurrent_threads_reproduce_golden_digest_memory() {
 
 #[test]
 fn concurrent_threads_reproduce_golden_digest_disk() {
-    let dir = std::env::temp_dir().join("xks-concurrent-differential");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("concurrent_threads_reproduce_golden_digest_disk");
     run_backend(|doc, name| {
         let path = dir.join(format!("{name}.xks"));
         IndexWriter::new().write(&doc, &path).unwrap();
@@ -129,8 +128,7 @@ fn one_shared_reader_backs_engines_on_many_threads() {
     // The index-handle pattern end to end: ONE opened .xks file (one
     // pool, one postings cache) behind an Arc, a separate engine per
     // thread on top of it.
-    let dir = std::env::temp_dir().join("xks-concurrent-differential");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("one_shared_reader_backs_engines_on_many_threads");
     let doc = shred(&generate_dblp(&DblpConfig::with_records(1_000, 42)));
     let path = dir.join("shared-handle.xks");
     IndexWriter::new().write(&doc, &path).unwrap();

@@ -1,6 +1,9 @@
 //! End-to-end integration over the generated corpora: the full workload
 //! pipelines of Figures 5/6 at test scale.
 
+mod common;
+
+use common::TempDir;
 use xks::core::{AlgorithmKind, SearchEngine, SearchRequest};
 use xks::datagen::queries::{dblp_workload, xmark_workload};
 use xks::datagen::{generate_dblp, generate_xmark, DblpConfig, XmarkConfig, XmarkSize};
@@ -41,7 +44,8 @@ fn dblp_workload_runs_end_to_end() {
 
 #[test]
 fn dblp_fragments_cover_their_queries() {
-    let engine = dblp_engine();
+    let tree = generate_dblp(&DblpConfig::with_records(2_000, 42));
+    let engine = SearchEngine::new(tree.clone());
     for (_, keywords) in dblp_workload().into_iter().take(6) {
         let query = Query::parse(&keywords).unwrap();
         let out = engine
@@ -52,13 +56,9 @@ fn dblp_fragments_cover_their_queries() {
             // query keyword (keyword requirement of §2).
             for kw in query.keywords() {
                 let covered = frag.iter().any(|n| {
-                    engine
-                        .tree()
-                        .node_by_dewey(&n.dewey)
-                        .map(|id| {
-                            xks::xmltree::content::node_content(engine.tree(), id).contains(kw)
-                        })
-                        .unwrap_or(false)
+                    tree.node_by_dewey(&n.dewey).is_some_and(|id| {
+                        xks::xmltree::content::node_content(&tree, id).contains(kw)
+                    })
                 });
                 assert!(covered, "fragment at {} misses {kw}", frag.anchor);
             }
@@ -143,8 +143,7 @@ fn snapshot_load_reindexes_identically() {
     // InvertedIndex, against the directly-built index.
     let tree = generate_dblp(&DblpConfig::with_records(200, 3));
     let doc = xks::store::shred(&tree);
-    let dir = std::env::temp_dir().join("xks-integration");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("snapshot_load_reindexes_identically");
     let path = dir.join("snapshot.json");
     xks::store::snapshot::save(&doc, &path).unwrap();
     let loaded = xks::store::snapshot::load(&path).unwrap();

@@ -21,7 +21,7 @@ mod common;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use common::{digest_line, ALGORITHMS};
+use common::{digest_line, TempDir, ALGORITHMS};
 use xks::core::{CorpusSource, SearchEngine, SearchRequest};
 use xks::datagen::queries::{dblp_workload, xmark_workload};
 use xks::datagen::{generate_dblp, DblpConfig};
@@ -107,8 +107,7 @@ impl Scenario {
 #[test]
 fn every_fault_recovers_to_pre_or_post_state() {
     let seed = fault_seed();
-    let root = std::env::temp_dir().join(format!("xks-crash-matrix-seed{seed}"));
-    let _ = std::fs::remove_dir_all(&root);
+    let root = TempDir::new(&format!("crash-matrix-seed{seed}"));
 
     // Baseline: a corpus with a sealed base, a live delta, and a
     // tombstone — every recovery path has something to do. Material
@@ -280,5 +279,4 @@ fn every_fault_recovers_to_pre_or_post_state() {
         report.join("\n") + "\n",
     )
     .unwrap();
-    let _ = std::fs::remove_dir_all(&root);
 }

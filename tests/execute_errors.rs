@@ -3,14 +3,16 @@
 //! already-opened index dies (the "disk failed after open" scenario a
 //! server lives with).
 
+mod common;
+
+use common::TempDir;
 use xks::core::{SearchEngine, SearchError, SearchRequest};
 use xks::datagen::{generate_dblp, DblpConfig};
 use xks::persist::{IndexReader, IndexWriter};
 
 #[test]
 fn truncated_index_yields_typed_error_not_panic() {
-    let dir = std::env::temp_dir().join("xks-execute-errors");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("truncated_index_yields_typed_error_not_panic");
     let path = dir.join("dying.xks");
     // A multi-page index, so a fresh keyword's pages cannot all be
     // sitting in the buffer pool when the file dies.

@@ -78,10 +78,9 @@ proptest! {
 }
 
 /// Deterministic end-to-end check of property 3: for every paper query,
-/// the legacy `Query` path and the request path return identical
-/// fragments on every algorithm.
+/// a request built from the legacy `Query` and one parsed through the
+/// grammar return identical fragments on every algorithm.
 #[test]
-#[allow(deprecated)]
 fn plain_requests_match_legacy_search_end_to_end() {
     let engine = SearchEngine::new(publications());
     for text in xks::xmltree::fixtures::PAPER_QUERIES {
@@ -93,10 +92,12 @@ fn plain_requests_match_legacy_search_end_to_end() {
             AlgorithmKind::MaxMatchRtf,
             AlgorithmKind::MaxMatchSlca,
         ] {
-            let legacy = engine.search(&query, kind);
+            let legacy = engine
+                .execute(&SearchRequest::from_query(query.clone()).algorithm(kind))
+                .unwrap();
             let response = engine.execute(&request.clone().algorithm(kind)).unwrap();
             assert_eq!(
-                legacy.fragments,
+                legacy.into_fragments(),
                 response.into_fragments(),
                 "{text} / {kind:?}"
             );

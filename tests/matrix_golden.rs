@@ -14,7 +14,7 @@
 
 mod common;
 
-use common::{digest_line, ALGORITHMS};
+use common::{digest_line, TempDir, ALGORITHMS};
 use xks::core::{Fragment, MemoryCorpus, SearchEngine, SearchRequest};
 use xks::datagen::scenario::ScenarioSpec;
 use xks::persist::{write_sharded, IndexWriter, ShardedCorpus};
@@ -29,7 +29,7 @@ const GOLDEN_MATRIX: &str = concat!(
 );
 
 fn digest_lines(engine: &SearchEngine, scenario: &xks::datagen::scenario::Scenario) -> Vec<String> {
-    let source = engine.corpus().expect("source-backed engine");
+    let source = engine.corpus();
     let mut lines = Vec::new();
     for (i, q) in scenario.queries.iter().enumerate() {
         let abbrev = format!("{}{i}", q.class.name());
@@ -52,8 +52,7 @@ fn matrix_cell_digest_is_pinned() {
 
     let memory = SearchEngine::from_owned_source(MemoryCorpus::new(doc.clone()));
 
-    let dir = std::env::temp_dir().join("xks-matrix-golden");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("matrix_cell_digest_is_pinned");
     let manifest = dir.join(format!("{CELL}.xksm"));
     write_sharded(&IndexWriter::new(), &doc, &manifest, SHARDS).unwrap();
     let sharded = SearchEngine::from_shard_set(ShardedCorpus::open(&manifest).unwrap().shard_set());

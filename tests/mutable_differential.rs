@@ -11,8 +11,11 @@
 //! level — holes and all — and query the result through the standard
 //! [`MemoryCorpus`] backend.
 
-use std::path::PathBuf;
+mod common;
+
 use std::sync::Arc;
+
+use common::TempDir;
 
 use xks::core::{AlgorithmKind, CorpusSource, MemoryCorpus, SearchEngine, SearchRequest};
 use xks::datagen::queries::dblp_workload;
@@ -104,14 +107,6 @@ fn assert_matches_oracle(
     }
 }
 
-fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("xks-mutable-differential")
-        .join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 #[test]
 fn random_interleavings_match_rebuild_from_scratch() {
     // A pool of realistic documents: the top-level records of a
@@ -126,7 +121,8 @@ fn random_interleavings_match_rebuild_from_scratch() {
         .collect();
 
     for seed in [1u64, 7, 42] {
-        let dir = scratch_dir(&format!("seed{seed}"));
+        let scratch = TempDir::new(&format!("mutable-differential-seed{seed}"));
+        let dir = scratch.join("corpus");
         let mut gen = Gen(seed);
         let mut corpus = MutableCorpus::create(&dir, &root_label).unwrap();
         let mut inserted: Vec<String> = Vec::new();

@@ -6,7 +6,7 @@
 //! *team* segment (`xks::xmltree::fixtures`).
 
 use xks::core::{AlgorithmKind, SearchEngine, SearchRequest};
-use xks::index::Query;
+use xks::index::{InvertedIndex, Query};
 use xks::xmltree::fixtures::{publications, team, PAPER_QUERIES};
 use xks::xmltree::Dewey;
 
@@ -181,9 +181,7 @@ fn example2_redundancy_q4() {
 #[test]
 fn example3_ect_enumeration_count() {
     use xks::core::spec::enumerate_ect;
-    let engine = SearchEngine::new(publications());
-    let sets = engine
-        .index()
+    let sets = InvertedIndex::build(&publications())
         .resolve(&q(PAPER_QUERIES[1]))
         .expect("Q2 resolves");
     let ect = enumerate_ect(sets.sets()).expect("tiny input");
@@ -197,8 +195,9 @@ fn example4_rtfs_match_specification() {
     use xks::core::spec::spec_rtfs;
     use xks::lca::elca_stack;
 
-    let engine = SearchEngine::new(publications());
-    let sets = engine.index().resolve(&q(PAPER_QUERIES[1])).unwrap();
+    let sets = InvertedIndex::build(&publications())
+        .resolve(&q(PAPER_QUERIES[1]))
+        .unwrap();
 
     let spec = spec_rtfs(sets.sets()).expect("tiny input");
     assert_eq!(spec.len(), 2);
@@ -222,7 +221,9 @@ fn examples6_7_running_example() {
     let query = q(PAPER_QUERIES[2]);
 
     // Example 6: D1..D5.
-    let sets = engine.index().resolve(&query).unwrap();
+    let sets = InvertedIndex::build(&publications())
+        .resolve(&query)
+        .unwrap();
     let as_strings =
         |i: usize| -> Vec<String> { sets.set(i).iter().map(ToString::to_string).collect() };
     assert_eq!(as_strings(0), ["0.0"]); // vldb

@@ -6,8 +6,11 @@
 //! counters additionally prove the reader never slurps the postings
 //! section eagerly.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::TempDir;
 use xks::core::rank::RankWeights;
 use xks::core::{AlgorithmKind, CorpusSource, MemoryCorpus, SearchEngine, SearchRequest};
 use xks::datagen::queries::{dblp_workload, xmark_workload};
@@ -38,19 +41,14 @@ fn corpora() -> Vec<Corpora> {
     ]
 }
 
-fn index_path(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("xks-persist-differential");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{name}.xks"))
-}
-
 #[test]
 fn disk_and_memory_backends_are_byte_identical() {
+    let dir = TempDir::new("disk_and_memory_backends_are_byte_identical");
     let mut queries_checked = 0usize;
     let mut nonempty = 0usize;
     for corpus in corpora() {
         let doc = shred(&corpus.tree);
-        let path = index_path(corpus.name);
+        let path = dir.join(format!("{}.xks", corpus.name));
         IndexWriter::new().write(&doc, &path).unwrap();
 
         let reader = Arc::new(IndexReader::open(&path).unwrap());
@@ -92,11 +90,11 @@ fn disk_and_memory_backends_are_byte_identical() {
                 // resolve through each backend's own dictionary).
                 let mem_text: Vec<String> = m
                     .fragments()
-                    .map(|f| f.render_source(memory.corpus().expect("source-backed")))
+                    .map(|f| f.render_source(memory.corpus()))
                     .collect();
                 let disk_text: Vec<String> = d
                     .fragments()
-                    .map(|f| f.render_source(disk.corpus().expect("source-backed")))
+                    .map(|f| f.render_source(disk.corpus()))
                     .collect();
                 assert_eq!(
                     mem_text, disk_text,
@@ -139,7 +137,8 @@ fn disk_and_memory_backends_are_byte_identical() {
 fn single_query_reads_a_fraction_of_the_postings_section() {
     let tree = generate_dblp(&DblpConfig::with_records(2_000, 7));
     let doc = shred(&tree);
-    let path = index_path("lazy-postings");
+    let dir = TempDir::new("single_query_reads_a_fraction_of_the_postings_section");
+    let path = dir.join("lazy-postings.xks");
     IndexWriter::new().write(&doc, &path).unwrap();
 
     let reader = IndexReader::open(&path).unwrap();
@@ -173,8 +172,7 @@ fn snapshot_and_index_agree_after_reload() {
     let tree = generate_xmark(&XmarkConfig::sized(XmarkSize::Standard, 30, 11));
     let doc = shred(&tree);
 
-    let dir = std::env::temp_dir().join("xks-persist-differential");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("snapshot_and_index_agree_after_reload");
     let json_path = dir.join("snapshot-agree.json");
     let xks_path = dir.join("snapshot-agree.xks");
     xks::store::snapshot::save(&doc, &json_path).unwrap();
@@ -184,15 +182,12 @@ fn snapshot_and_index_agree_after_reload() {
     let from_disk = IndexReader::open(&xks_path).unwrap();
 
     for kw in ["particle", "egypt", "description", "order", "leon"] {
-        assert_eq!(
-            from_json.keyword_deweys(kw),
-            from_disk.keyword_deweys(kw),
-            "{kw}"
-        );
-        for dewey in from_json.keyword_deweys(kw).iter().take(5) {
+        let postings = from_json.keyword_deweys(kw).unwrap();
+        assert_eq!(postings, from_disk.keyword_deweys(kw).unwrap(), "{kw}");
+        for dewey in postings.iter().take(5) {
             assert_eq!(
-                from_json.element(dewey),
-                from_disk.element(dewey),
+                from_json.element(dewey).unwrap(),
+                from_disk.element(dewey).unwrap(),
                 "{kw} @ {dewey}"
             );
         }

@@ -9,9 +9,11 @@
 
 use std::sync::Arc;
 
-use xks::core::engine::{SearchEngine, SearchResult};
+use xks::core::engine::SearchEngine;
 use xks::core::executor::BatchStats;
-use xks::core::{CorpusSource, MemoryCorpus, QueryContext};
+use xks::core::{
+    CorpusSource, MemoryCorpus, QueryContext, SearchError, SearchResponse, ShardSet, TreeCorpus,
+};
 use xks::persist::pool::BufferPool;
 use xks::persist::IndexReader;
 
@@ -20,18 +22,20 @@ const fn assert_send<T: Send + ?Sized>() {}
 
 // Evaluated at compile time — the test body just forces monomorphization.
 const _: () = {
-    // Index handles: both CorpusSource backends, the trait object, and
+    // Index handles: the CorpusSource backends, the trait object, and
     // the storage substrate under the disk backend.
+    assert_send_sync::<TreeCorpus>();
     assert_send_sync::<MemoryCorpus>();
+    assert_send_sync::<ShardSet>();
     assert_send_sync::<IndexReader>();
     assert_send_sync::<Arc<dyn CorpusSource>>();
     assert_send_sync::<dyn CorpusSource>();
     assert_send_sync::<BufferPool>();
 
-    // The engine itself (both constructors produce the same type), and
-    // what the executor moves across threads.
+    // The engine itself (every constructor produces the same type),
+    // and what the executor moves across threads.
     assert_send_sync::<SearchEngine>();
-    assert_send::<SearchResult>();
+    assert_send::<Result<SearchResponse, SearchError>>();
     assert_send::<BatchStats>();
 
     // The per-thread half only needs Send (it is never shared).

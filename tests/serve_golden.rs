@@ -16,7 +16,7 @@ mod common;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use common::{digest_line, ALGORITHMS, GOLDEN};
+use common::{digest_line, TempDir, ALGORITHMS, GOLDEN};
 use xks::core::wire;
 use xks::core::{MemoryCorpus, SearchEngine, SearchRequest};
 use xks::datagen::queries::{dblp_workload, xmark_workload};
@@ -87,7 +87,7 @@ fn differential_sweep(
     local: &SearchEngine,
     addr: std::net::SocketAddr,
 ) -> Vec<String> {
-    let source = local.corpus().expect("source-backed engine");
+    let source = local.corpus();
     let mut lines = Vec::new();
     for (abbrev, keywords) in workload {
         for kind in ALGORITHMS {
@@ -160,8 +160,7 @@ fn server_matches_cli_render_on_memory_backend() {
 
 #[test]
 fn server_matches_cli_render_on_sharded_disk_backend() {
-    let dir = std::env::temp_dir().join("xks-serve-golden");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("server_matches_cli_render_on_sharded_disk_backend");
     let mut all_lines = Vec::new();
     for (corpus, tree, workload) in workloads() {
         let manifest: PathBuf = dir.join(format!("{corpus}.xksm"));

@@ -2,16 +2,16 @@
 //!
 //! The sharded read path must be **byte-identical** to the unsharded
 //! one — same fragments, same rendering, same stats — whatever the
-//! shard count, backend, or scatter fan-out. This test replays the full
-//! Figure 5/6 workload (DBLP + XMark, 43 queries × 3 algorithms)
-//! through sharded engines at 1, 2, and 4 shards on **both** backends:
+//! shard count or backend. This test replays the full Figure 5/6
+//! workload (DBLP + XMark, 43 queries × 3 algorithms) through sharded
+//! engines at 1, 2, and 4 shards on **both** backends:
 //!
 //! * **memory** — `xks_store::partition` parts wrapped in
 //!   `MemoryCorpus` shards under a `validrtf::ShardSet`;
 //! * **disk** — `xks_persist::write_sharded` corpora reopened through
-//!   `ShardedCorpus`, searched both via scatter-gather
-//!   (`SearchEngine::from_shard_set`) and via the serial routed
-//!   `CorpusSource` path,
+//!   `ShardedCorpus`, searched both via its shard set
+//!   (`SearchEngine::from_shard_set`) and via the corpus itself as a
+//!   `CorpusSource`,
 //!
 //! and asserts every configuration reproduces
 //! `tests/golden/workload_digest.txt` line for line — the digest
@@ -23,8 +23,8 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{digest_line, ALGORITHMS, GOLDEN};
-use xks::core::{CorpusSource, MemoryCorpus, SearchEngine, SearchRequest, ShardSet};
+use common::{digest_line, TempDir, ALGORITHMS, GOLDEN};
+use xks::core::{CorpusSource, MemoryCorpus, RankWeights, SearchEngine, SearchRequest, ShardSet};
 use xks::datagen::queries::{dblp_workload, xmark_workload};
 use xks::datagen::{generate_dblp, generate_xmark, DblpConfig, XmarkConfig, XmarkSize};
 use xks::persist::{write_sharded, IndexWriter, PersistError, ShardedCorpus};
@@ -68,7 +68,7 @@ fn golden_lines() -> Vec<String> {
 /// Runs one corpus's workload through `engine` and returns its digest
 /// lines (same format as the golden file).
 fn digest_corpus(engine: &SearchEngine, corpus: &Corpus) -> Vec<String> {
-    let source = engine.corpus().expect("sharded engines expose a source");
+    let source = engine.corpus();
     let mut lines = Vec::new();
     for (abbrev, keywords) in &corpus.workload {
         let request = SearchRequest::parse(keywords).unwrap();
@@ -91,50 +91,38 @@ fn memory_shard_set(doc: &ShreddedDoc, shards: usize) -> ShardSet {
     ShardSet::new(sources, first_docs).unwrap()
 }
 
-fn sharded_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir()
-        .join("xks-sharded-differential")
-        .join(name);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 #[test]
 fn sharded_backends_reproduce_the_golden_digest() {
     let golden = golden_lines();
     let corpora = corpora();
     assert_eq!(golden.len(), 43 * 3, "golden digest covers the workload");
+    let dir = TempDir::new("sharded_backends_reproduce_the_golden_digest");
 
     for &shards in &SHARD_COUNTS {
         let mut engines: Vec<(String, Vec<SearchEngine>)> = Vec::new();
         for corpus in &corpora {
             let mut variants = Vec::new();
 
-            // Memory shards, scatter-gather (fan-out 2 exercises the
-            // worker path even on a 1-core runner).
-            variants.push(
-                SearchEngine::from_shard_set(memory_shard_set(&corpus.doc, shards))
-                    .with_scatter_threads(2),
-            );
+            // Memory shards.
+            variants.push(SearchEngine::from_shard_set(memory_shard_set(
+                &corpus.doc,
+                shards,
+            )));
 
-            // Disk shards via the manifest, scatter-gather…
-            let manifest = sharded_dir(&format!("{}-{shards}", corpus.name)).join("corpus.xksm");
+            // Disk shards via the manifest, through the shard set…
+            let manifest = dir.join(format!("{}-{shards}.xksm", corpus.name));
             write_sharded(&IndexWriter::new(), &corpus.doc, &manifest, shards).unwrap();
             let opened = ShardedCorpus::open(&manifest).unwrap();
             assert_eq!(opened.shard_count(), shards, "{}", corpus.name);
-            variants.push(SearchEngine::from_shard_set(opened.shard_set()).with_scatter_threads(2));
+            variants.push(SearchEngine::from_shard_set(opened.shard_set()));
 
-            // …and the same opened corpus as a serial routed source.
+            // …and the same opened corpus as a source of its own.
             variants.push(SearchEngine::from_source(Arc::new(opened)));
 
             engines.push((corpus.name.to_owned(), variants));
         }
 
-        for (variant, label) in [
-            (0, "memory/scatter"),
-            (1, "disk/scatter"),
-            (2, "disk/routed"),
-        ] {
+        for (variant, label) in [(0, "memory/set"), (1, "disk/set"), (2, "disk/corpus")] {
             let mut lines = Vec::new();
             for ((_, variants), corpus) in engines.iter().zip(&corpora) {
                 lines.extend(digest_corpus(&variants[variant], corpus));
@@ -157,7 +145,7 @@ fn sharded_backends_reproduce_the_golden_digest() {
 #[test]
 fn corrupted_manifest_fails_open_with_typed_errors() {
     let corpus = shred(&generate_dblp(&DblpConfig::with_records(50, 7)));
-    let dir = sharded_dir("corrupt");
+    let dir = TempDir::new("corrupted_manifest_fails_open_with_typed_errors");
     let manifest_path = dir.join("corpus.xksm");
     write_sharded(&IndexWriter::new(), &corpus, &manifest_path, 2).unwrap();
     let clean = std::fs::read(&manifest_path).unwrap();
@@ -186,7 +174,7 @@ fn corrupted_manifest_fails_open_with_typed_errors() {
     std::fs::write(&manifest_path, &clean).unwrap();
     let corpus = ShardedCorpus::open(&manifest_path).unwrap();
     let shard_file = dir.join(&corpus.manifest().shards[1].file_name);
-    let engine = SearchEngine::from_shard_set(corpus.shard_set()).with_scatter_threads(2);
+    let engine = SearchEngine::from_shard_set(corpus.shard_set());
     let ok = engine
         .execute(&SearchRequest::parse("data algorithm").unwrap())
         .unwrap();
@@ -200,4 +188,58 @@ fn corrupted_manifest_fails_open_with_typed_errors() {
     drop(file);
     let fresh = ShardedCorpus::open(&manifest_path);
     assert!(fresh.is_err(), "reopen catches the truncated shard");
+}
+
+/// Ranked top-k requests take the bounded construction path on every
+/// backend, so sharded engines must match the monolithic one on the
+/// whole `stats` block — `rtfs_skipped_topk` included — not only on the
+/// hits. Memory shards carry no keyword filters, so `shards_skipped`
+/// is zero on both sides; the disk manifests (which do carry filters)
+/// are checked with that one counter set aside.
+#[test]
+fn sharded_topk_matches_monolithic_on_full_stats() {
+    let corpora = corpora();
+    let dir = TempDir::new("sharded_topk_matches_monolithic_on_full_stats");
+    let mut skipped_topk = 0u32;
+    let mut skipped_shards = 0u32;
+    for corpus in &corpora {
+        let whole = SearchEngine::from_owned_source(MemoryCorpus::new(corpus.doc.clone()));
+        let manifest = dir.join(format!("{}.xksm", corpus.name));
+        write_sharded(&IndexWriter::new(), &corpus.doc, &manifest, 4).unwrap();
+        let memory = SearchEngine::from_shard_set(memory_shard_set(&corpus.doc, 4));
+        let disk =
+            SearchEngine::from_shard_set(ShardedCorpus::open(&manifest).unwrap().shard_set());
+        for (abbrev, keywords) in &corpus.workload {
+            for kind in ALGORITHMS {
+                for request in [
+                    SearchRequest::parse(keywords)
+                        .unwrap()
+                        .algorithm(kind)
+                        .top_k(3),
+                    SearchRequest::parse(keywords)
+                        .unwrap()
+                        .algorithm(kind)
+                        .weights(RankWeights::default())
+                        .top_k(1)
+                        .trace(true),
+                ] {
+                    let want = whole.execute(&request).unwrap();
+                    let got = memory.execute(&request).unwrap();
+                    assert_eq!(got.hits, want.hits, "{}/{abbrev}/{kind:?}", corpus.name);
+                    assert_eq!(got.stats, want.stats, "{}/{abbrev}/{kind:?}", corpus.name);
+                    let mut got = disk.execute(&request).unwrap();
+                    assert_eq!(got.hits, want.hits, "{}/{abbrev}/{kind:?}", corpus.name);
+                    skipped_shards += got.stats.shards_skipped;
+                    got.stats.shards_skipped = 0;
+                    assert_eq!(got.stats, want.stats, "{}/{abbrev}/{kind:?}", corpus.name);
+                    skipped_topk += want.stats.rtfs_skipped_topk;
+                }
+            }
+        }
+    }
+    assert!(skipped_topk > 0, "the workload exercises the top-k skip");
+    assert!(
+        skipped_shards > 0,
+        "the disk manifests' filters skip shards"
+    );
 }

@@ -35,7 +35,7 @@ fn digest_lines(traced: bool) -> Vec<String> {
         ),
     ] {
         let engine = SearchEngine::from_owned_source(MemoryCorpus::new(shred(&tree)));
-        let source = engine.corpus().expect("source-backed engine");
+        let source = engine.corpus();
         for (abbrev, keywords) in &workload {
             // The 43-query workload replays through the redesigned
             // request/response path; the digest must not move.
