@@ -22,7 +22,10 @@
 //! single pass and writes the JSON to `target/BENCH_hotpath.json`
 //! instead, so a test run never dirties the committed numbers.
 
-use std::path::PathBuf;
+#[path = "../../../tests/common/tempdir.rs"]
+mod tempdir;
+
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use validrtf::engine::{AlgorithmKind, SearchEngine};
@@ -50,10 +53,7 @@ struct Workload {
     requests: Vec<SearchRequest>,
 }
 
-fn build_workloads() -> Vec<Workload> {
-    let dir = std::env::temp_dir().join("xks-hotpath-bench");
-    std::fs::create_dir_all(&dir).unwrap();
-
+fn build_workloads(dir: &Path) -> Vec<Workload> {
     let mut out = Vec::new();
     for (corpus, tree, workload) in [
         (
@@ -193,7 +193,8 @@ fn output_path(smoke: bool) -> PathBuf {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
-    let workloads = build_workloads();
+    let dir = tempdir::TempDir::new("hotpath-bench");
+    let workloads = build_workloads(&dir);
     let total_queries: usize = workloads.iter().map(|w| w.requests.len()).sum();
     assert_eq!(total_queries, 43, "the Figure 5/6 workload has 43 queries");
 

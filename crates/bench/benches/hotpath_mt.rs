@@ -25,8 +25,11 @@
 //! `target/BENCH_concurrency.json` instead, so a test run never dirties
 //! the committed numbers.
 
+#[path = "../../../tests/common/tempdir.rs"]
+mod tempdir;
+
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use validrtf::engine::{AlgorithmKind, SearchEngine};
@@ -48,10 +51,7 @@ struct Workload {
     requests: Vec<SearchRequest>,
 }
 
-fn build_workloads() -> Vec<Workload> {
-    let dir = std::env::temp_dir().join("xks-hotpath-mt-bench");
-    std::fs::create_dir_all(&dir).unwrap();
-
+fn build_workloads(dir: &Path) -> Vec<Workload> {
     let mut out = Vec::new();
     for (corpus, tree, workload) in [
         (
@@ -163,7 +163,8 @@ fn output_path(smoke: bool) -> PathBuf {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
-    let workloads = build_workloads();
+    let dir = tempdir::TempDir::new("hotpath-mt-bench");
+    let workloads = build_workloads(&dir);
     let total_queries: usize = workloads.iter().map(|w| w.requests.len()).sum();
     assert_eq!(total_queries, 43, "the Figure 5/6 workload has 43 queries");
     let parallelism = std::thread::available_parallelism()

@@ -10,9 +10,9 @@
 //! ValidRTF's combined score dominates both baselines — the
 //! speed-*and*-quality gate future planner/ingest PRs must pass.
 //!
-//! Results land in `BENCH_matrix.json` (schema `xks-matrix/1`) at the
+//! Results land in `BENCH_matrix.json` (schema `xks-matrix/2`) at the
 //! workspace root: per cell × backend × class throughput and latency
-//! percentiles, plus per-algorithm quality scores.
+//! percentiles (`*_ns`, nanoseconds), plus per-algorithm quality scores.
 //!
 //! ```sh
 //! cargo bench -p xks-bench --bench matrix            # full 12-cell run
@@ -23,6 +23,9 @@
 //! still covering every shape/skew/tenancy axis) with single-sweep
 //! timing, and writes to `target/BENCH_matrix.json` so a test run
 //! never dirties the committed numbers.
+
+#[path = "../../../tests/common/tempdir.rs"]
+mod tempdir;
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -100,10 +103,10 @@ fn latency_json(hist: &Histogram) -> Value {
     let snap = hist.snapshot();
     Value::Obj(obj([
         ("count", Value::Num(snap.count)),
-        ("p50_us", Value::Num(snap.p50())),
-        ("p90_us", Value::Num(snap.p90())),
-        ("p99_us", Value::Num(snap.p99())),
-        ("max_us", Value::Num(snap.max)),
+        ("p50_ns", Value::Num(snap.p50())),
+        ("p90_ns", Value::Num(snap.p90())),
+        ("p99_ns", Value::Num(snap.p99())),
+        ("max_ns", Value::Num(snap.max)),
     ]))
 }
 
@@ -149,8 +152,7 @@ fn quality_queries(scenario: &Scenario) -> Vec<Query> {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
-    let dir = std::env::temp_dir().join("xks-matrix-bench");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = tempdir::TempDir::new("matrix-bench");
     let parallelism = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -279,7 +281,7 @@ fn main() {
 
     let mut root: BTreeMap<String, Value> = obj([
         ("bench", Value::Str("matrix".to_owned())),
-        ("schema", Value::Str("xks-matrix/1".to_owned())),
+        ("schema", Value::Str("xks-matrix/2".to_owned())),
         (
             "mode",
             Value::Str(if smoke { "smoke" } else { "full" }.to_owned()),

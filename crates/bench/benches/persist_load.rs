@@ -14,7 +14,10 @@
 //! cargo bench -p xks-bench --bench persist_load
 //! ```
 
-use std::path::PathBuf;
+#[path = "../../../tests/common/tempdir.rs"]
+mod tempdir;
+
+use std::path::{Path, PathBuf};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -28,9 +31,7 @@ const RECORDS: usize = 2_000;
 const SEED: u64 = 2009;
 const QUERY: &str = "data algorithm";
 
-fn prepare() -> (PathBuf, PathBuf) {
-    let dir = std::env::temp_dir().join("xks-persist-bench");
-    std::fs::create_dir_all(&dir).unwrap();
+fn prepare(dir: &Path) -> (PathBuf, PathBuf) {
     let json_path = dir.join("dblp.json");
     let xks_path = dir.join("dblp.xks");
     let doc = shred(&generate_dblp(&DblpConfig::with_records(RECORDS, SEED)));
@@ -47,7 +48,8 @@ fn prepare() -> (PathBuf, PathBuf) {
 }
 
 fn cold_load(c: &mut Criterion) {
-    let (json_path, xks_path) = prepare();
+    let dir = tempdir::TempDir::new("persist-bench");
+    let (json_path, xks_path) = prepare(&dir);
     let request = SearchRequest::parse(QUERY)
         .unwrap()
         .algorithm(AlgorithmKind::ValidRtf);

@@ -35,6 +35,9 @@
 //! Smoke mode writes to `target/BENCH_planner.json` instead, so a test
 //! run never dirties the committed numbers.
 
+#[path = "../../../tests/common/tempdir.rs"]
+mod tempdir;
+
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -227,8 +230,7 @@ fn output_path(smoke: bool) -> PathBuf {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
-    let dir = std::env::temp_dir().join("xks-planner-bench");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = tempdir::TempDir::new("planner-bench");
     let parallelism = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);

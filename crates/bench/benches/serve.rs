@@ -19,6 +19,9 @@
 //! mode writes to `target/BENCH_serve.json`; `XKS_BENCH_OUT`
 //! overrides).
 
+#[path = "../../../tests/common/tempdir.rs"]
+mod tempdir;
+
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -154,8 +157,7 @@ fn output_path(smoke: bool) -> PathBuf {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
-    let dir = std::env::temp_dir().join("xks-serve-bench");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = tempdir::TempDir::new("serve-bench");
 
     // A monolithic on-disk index — the deployment shape a resident
     // server exists for.

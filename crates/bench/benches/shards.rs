@@ -18,6 +18,9 @@
 //! Smoke mode writes to `target/BENCH_shards.json` instead, so a test
 //! run never dirties the committed numbers.
 
+#[path = "../../../tests/common/tempdir.rs"]
+mod tempdir;
+
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -142,8 +145,7 @@ fn output_path(smoke: bool) -> PathBuf {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
-    let dir = std::env::temp_dir().join("xks-shards-bench");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = tempdir::TempDir::new("shards-bench");
     let corpora = corpora();
     let total_queries: usize = corpora.iter().map(|c| c.requests.len()).sum();
     assert_eq!(total_queries, 43, "the Figure 5/6 workload has 43 queries");

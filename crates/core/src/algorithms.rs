@@ -16,10 +16,11 @@
 //! original algorithm, kept for the SLCA-vs-LCA illustrations of
 //! Example 1.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use xks_index::{InvertedIndex, KeywordNodeSets, Query};
 use xks_lca::{elca_into_context, slca_into_context};
+use xks_obs::{QueryTrace, Stage};
 use xks_xmltree::XmlTree;
 
 use crate::fragment::Fragment;
@@ -36,24 +37,47 @@ pub enum AnchorSemantics {
     SlcaOnly,
 }
 
-/// Per-stage wall-clock timings of one run (for the Figure 5 harness).
+/// Per-stage wall-clock timings of one search (for the Figure 5
+/// harness): a view of the query's [`QueryTrace`], which is the only
+/// timing record ([`StageTimings::from_trace`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
-    /// `getKeywordNodes` (index resolution).
+    /// `getKeywordNodes` (index resolution): the `resolve` span.
     pub get_keyword_nodes: Duration,
-    /// `getLCA`.
+    /// `getLCA`: the `plan` and `merge_anchor` spans.
     pub get_lca: Duration,
-    /// `getRTF`.
+    /// `getRTF`: the `rtf_dispatch` span.
     pub get_rtf: Duration,
-    /// `pruneRTF` (construction + pruning).
+    /// `pruneRTF` (construction + pruning): the `construct` and
+    /// `prune` spans.
     pub prune_rtf: Duration,
     /// Everything after the paper's pipeline: the operator post-filter
     /// stage (including its exclusion-posting lookups), ranking, and
-    /// hit materialization. Zero on the legacy four-stage entry points.
+    /// hit materialization — the `post_filter` and `rank` spans.
     pub post_process: Duration,
 }
 
 impl StageTimings {
+    /// Sums each stage's spans out of `trace`. `parse` (timed before
+    /// execution) and `postings_decode` (nested in `resolve`) are not
+    /// stages of their own here.
+    #[must_use]
+    pub fn from_trace(trace: &QueryTrace) -> Self {
+        let mut timings = StageTimings::default();
+        for span in trace.spans() {
+            let field = match span.stage {
+                Stage::Resolve => &mut timings.get_keyword_nodes,
+                Stage::Plan | Stage::MergeAnchor => &mut timings.get_lca,
+                Stage::RtfDispatch => &mut timings.get_rtf,
+                Stage::Construct | Stage::Prune => &mut timings.prune_rtf,
+                Stage::PostFilter | Stage::Rank => &mut timings.post_process,
+                Stage::Parse | Stage::PostingsDecode => continue,
+            };
+            *field += Duration::from_nanos(span.dur_ns);
+        }
+        timings
+    }
+
     /// Total elapsed time over all stages.
     #[must_use]
     pub fn total(&self) -> Duration {
@@ -79,8 +103,6 @@ pub struct RunOutput {
     pub raw: Vec<Fragment>,
     /// The keyword-node partitions.
     pub rtfs: Vec<Rtf>,
-    /// Per-stage timings.
-    pub timings: StageTimings,
 }
 
 /// Runs the staged pipeline with explicit anchor semantics and pruning
@@ -93,13 +115,8 @@ pub fn run(
     anchors: AnchorSemantics,
     policy: Policy,
 ) -> Option<RunOutput> {
-    let mut timings = StageTimings::default();
-
-    let t0 = Instant::now();
     let sets = index.resolve(query)?;
-    timings.get_keyword_nodes = t0.elapsed();
-
-    Some(run_from_sets(tree, &sets, anchors, policy, timings))
+    Some(run_from_sets(tree, &sets, anchors, policy))
 }
 
 /// Like [`run`] but starting from already-resolved keyword-node sets —
@@ -111,13 +128,12 @@ pub fn run_from_sets(
     sets: &KeywordNodeSets,
     anchors: AnchorSemantics,
     policy: Policy,
-    timings: StageTimings,
 ) -> RunOutput {
     let mut ctx = QueryContext::default();
-    run_from_sets_with_context(tree, sets, anchors, policy, timings, &mut ctx)
+    run_from_sets_with_context(tree, sets, anchors, policy, &mut ctx)
 }
 
-/// How [`anchor_stages`] computes anchors and the dispatch stream: the
+/// How [`anchor_pass`] computes anchors and the dispatch stream: the
 /// legacy full k-way merge, or the planner's rarest-first gallop
 /// (anchors via `xks_lca::gallop_elca`, dispatch stream via anchored
 /// extraction — proven anchor- and RTF-identical to the merge by the
@@ -133,18 +149,17 @@ pub(crate) enum AnchorExec {
     },
 }
 
-/// `getLCA` + `getRTF` with shared buffers: merge the posting stream
-/// **once** into the context, compute anchors from it, dispatch keyword
-/// nodes over it. Returns the RTFs; anchors stay in `ctx.anchors`.
-/// (Crate-visible: `SearchEngine::execute_with` drives the same stages.)
-pub(crate) fn anchor_stages(
+/// `getLCA` over the context's shared buffers: merges the posting
+/// stream **once** into `ctx.merged` and computes the anchors into
+/// `ctx.anchors`; `getRTF` ([`get_rtf_from_merged`]) then dispatches
+/// keyword nodes over the same stream. (Crate-visible:
+/// `SearchEngine::execute_with` drives the same stages.)
+pub(crate) fn anchor_pass(
     sets: &KeywordNodeSets,
     anchors: AnchorSemantics,
     exec: AnchorExec,
-    timings: &mut StageTimings,
     ctx: &mut QueryContext,
-) -> Vec<Rtf> {
-    let t = Instant::now();
+) {
     match (anchors, exec) {
         (AnchorSemantics::AllLca, AnchorExec::Merge) => elca_into_context(sets.sets(), ctx),
         (AnchorSemantics::SlcaOnly, AnchorExec::Merge) => slca_into_context(sets.sets(), ctx),
@@ -155,14 +170,6 @@ pub(crate) fn anchor_stages(
             xks_lca::planned_slca_into_context(sets.sets(), ctx);
         }
     }
-    timings.get_lca = t.elapsed();
-    ctx.trace.record_since(xks_obs::Stage::MergeAnchor, t);
-
-    let t = Instant::now();
-    let rtfs = get_rtf_from_merged(&ctx.anchors, &ctx.merged, sets);
-    timings.get_rtf = t.elapsed();
-    ctx.trace.record_since(xks_obs::Stage::RtfDispatch, t);
-    rtfs
 }
 
 /// Like [`run_from_sets`] but reusing a caller-owned per-thread
@@ -173,21 +180,16 @@ pub fn run_from_sets_with_context(
     sets: &KeywordNodeSets,
     anchors: AnchorSemantics,
     policy: Policy,
-    mut timings: StageTimings,
     ctx: &mut QueryContext,
 ) -> RunOutput {
-    let rtfs = anchor_stages(sets, anchors, AnchorExec::Merge, &mut timings, ctx);
-
-    let t = Instant::now();
+    anchor_pass(sets, anchors, AnchorExec::Merge, ctx);
+    let rtfs = get_rtf_from_merged(&ctx.anchors, &ctx.merged, sets);
     let raw: Vec<Fragment> = rtfs.iter().map(|r| Fragment::construct(tree, r)).collect();
     let fragments: Vec<Fragment> = raw.iter().map(|f| prune(f, policy)).collect();
-    timings.prune_rtf = t.elapsed();
-
     RunOutput {
         fragments,
         raw,
         rtfs,
-        timings,
     }
 }
 
@@ -287,7 +289,6 @@ mod tests {
         assert_eq!(out.raw.len(), 1);
         assert_eq!(out.rtfs.len(), 1);
         assert!(out.raw[0].len() >= out.fragments[0].len());
-        assert!(out.timings.total() > Duration::ZERO);
     }
 
     #[test]
@@ -326,7 +327,6 @@ mod tests {
             &sets,
             AnchorSemantics::AllLca,
             Policy::ValidContributor,
-            StageTimings::default(),
         );
         assert_eq!(via_run.fragments, via_sets.fragments);
         assert_eq!(via_run.rtfs, via_sets.rtfs);

@@ -16,7 +16,7 @@ use crate::plan::{choose_driver, choose_strategy, PlanReport, PlanStrategy};
 use crate::prune::{prune_owned, Policy};
 use crate::rank::RankedFragment;
 use crate::request::{Hit, SearchError, SearchRequest, SearchResponse, SearchStats, SearchTimeout};
-use crate::rtf::Rtf;
+use crate::rtf::{get_rtf_from_merged, Rtf};
 use crate::scratch::QueryContext;
 use crate::shards::ShardSet;
 use crate::source::{CorpusSource, TreeCorpus};
@@ -162,8 +162,12 @@ impl SearchEngine {
     /// `getKeywordNodes → getLCA → getRTF → pruneRTF` flow reuses its
     /// scratch (asserted by the workspace's counting-allocator test).
     ///
-    /// Traced and untraced requests run the same loops; an armed trace
-    /// only adds clock reads and span records.
+    /// Every request, traced or not, times its stages into the
+    /// context's [`xks_obs::QueryTrace`]; the response's
+    /// [`SearchResponse::timings`] and the engine's `search.*`
+    /// metrics are read from that one record, and a traced request
+    /// also gets a copy of it. Failed and timed-out requests are
+    /// counted and timed too.
     ///
     /// Every failure comes back typed: grammar errors as
     /// [`SearchError::Parse`] (from [`SearchRequest::parse`]), backend
@@ -174,68 +178,74 @@ impl SearchEngine {
         request: &SearchRequest,
         ctx: &mut QueryContext,
     ) -> Result<SearchResponse, SearchError> {
+        ctx.trace.start();
+        // Parsing happened before execution; re-base its measured
+        // duration at the trace origin so the span survives.
+        if request.parse_time_ns() > 0 {
+            ctx.trace
+                .record_manual(Stage::Parse, 0, request.parse_time_ns());
+        }
+        let outcome = self.run_stages(request, ctx);
+        let timings = StageTimings::from_trace(&ctx.trace);
+        self.metrics.observe(&timings, outcome.as_ref().ok());
+        let (hits, stats) = outcome?;
+        Ok(SearchResponse {
+            hits,
+            timings,
+            stats,
+            trace: request.traced().then(|| ctx.trace.clone()),
+        })
+    }
+
+    /// The pipeline behind [`SearchEngine::execute_with`]: closes one
+    /// trace lap per stage (a failing stage closes its lap before the
+    /// error propagates) and returns the hits with their stats.
+    fn run_stages(
+        &self,
+        request: &SearchRequest,
+        ctx: &mut QueryContext,
+    ) -> Result<(Vec<Hit>, SearchStats), SearchError> {
         let spec = request.spec();
         let kind = request.kind();
-        let traced = request.traced();
-        if traced {
-            ctx.trace.begin();
-            // Parsing happened before execution; re-base its measured
-            // duration at the trace origin so the span survives.
-            if request.parse_time_ns() > 0 {
-                ctx.trace
-                    .record_manual(Stage::Parse, 0, request.parse_time_ns());
-            }
-        } else {
-            // A pooled context must never leak the previous query's
-            // spans into this response.
-            ctx.trace.disarm();
-        }
         let mut stats = SearchStats {
             dropped_terms: spec.report().dropped.clone(),
             normalized_terms: spec.report().normalized.clone(),
             ..SearchStats::default()
         };
-        let mut timings = StageTimings::default();
 
         // Deadline hook: requests carrying a deadline are checked
-        // between stages (never mid-stage, so a check costs one
-        // `Instant::now()` and only when a deadline exists). A request
-        // that was queued past its budget dies here before touching
-        // storage.
+        // between stages (never mid-stage), at the instant the last
+        // stage ended. A request that was queued past its budget dies
+        // here before touching storage.
         let deadline = request.deadline();
-        let exec_start = Instant::now();
-        self.check_deadline(deadline, exec_start, "resolve", &stats)?;
+        self.check_deadline(deadline, &ctx.trace, "resolve", &stats)?;
 
         // getKeywordNodes — the one stage that touches cold storage.
-        let t0 = Instant::now();
-        let resolved = self.resolve(spec.query(), &mut stats, ctx)?;
-        timings.get_keyword_nodes = t0.elapsed();
-        ctx.trace.record_since(Stage::Resolve, t0);
-        let Some((sets, all_sealed)) = resolved else {
+        let resolved = self.resolve(spec.query(), &mut stats, ctx);
+        ctx.trace.lap(Stage::Resolve);
+        let Some((sets, all_sealed)) = resolved? else {
             // Some keyword matches nothing: empty result, not an error.
-            self.metrics.observe(&timings, &stats, 0);
-            let mut response = SearchResponse::empty(timings, stats);
-            response.trace = take_trace(ctx, traced);
-            return Ok(response);
+            return Ok((Vec::new(), stats));
         };
 
-        self.check_deadline(deadline, exec_start, "anchor", &stats)?;
+        self.check_deadline(deadline, &ctx.trace, "anchor", &stats)?;
 
         // Plan: pick the anchor-pass strategy from the resolved list
         // lengths and the backend's sealed statistics (scalars only —
         // the warm path stays allocation-free).
-        let t_plan = Instant::now();
         let exec = plan_anchor_exec(&sets, all_sealed, &mut stats);
-        ctx.trace.record_since(Stage::Plan, t_plan);
+        ctx.trace.lap(Stage::Plan);
 
         // getLCA + getRTF over the context's shared scratch buffers.
-        let rtfs = crate::algorithms::anchor_stages(&sets, kind.anchor(), exec, &mut timings, ctx);
-        self.check_deadline(deadline, exec_start, "construct", &stats)?;
+        crate::algorithms::anchor_pass(&sets, kind.anchor(), exec, ctx);
+        ctx.trace.lap(Stage::MergeAnchor);
+        let rtfs = get_rtf_from_merged(&ctx.anchors, &ctx.merged, &sets);
+        ctx.trace.lap(Stage::RtfDispatch);
+        self.check_deadline(deadline, &ctx.trace, "construct", &stats)?;
 
         // Construct + prune, consuming each raw fragment so no node
         // payload is deep-cloned.
-        let t = Instant::now();
-        let mut builder = FragmentBuilder::new(self.source.as_ref(), kind.policy(), traced);
+        let mut builder = FragmentBuilder::new(self.source.as_ref(), kind.policy());
 
         // Top-k bound skip: when the request is a plain ranked top-k,
         // construct fragments best-bound-first and never build the
@@ -252,41 +262,32 @@ impl SearchEngine {
                 k_limit,
                 &weights,
                 &mut stats,
-            )?;
-            timings.prune_rtf = t.elapsed();
-            builder.record(ctx, t);
-            self.metrics.observe(&timings, &stats, hits.len());
-            return Ok(SearchResponse {
-                hits,
-                timings,
-                stats,
-                trace: take_trace(ctx, traced),
-            });
+            );
+            builder.lap(ctx);
+            return Ok((hits?, stats));
         }
 
         let mut fragments = Vec::with_capacity(rtfs.len());
-        for rtf in &rtfs {
+        let built = rtfs.iter().try_for_each(|rtf| {
             fragments.push(builder.build(rtf)?);
-        }
-        timings.prune_rtf = t.elapsed();
-        builder.record(ctx, t);
-        self.check_deadline(deadline, exec_start, "post_process", &stats)?;
+            Ok::<_, SearchError>(())
+        });
+        builder.lap(ctx);
+        built?;
+        self.check_deadline(deadline, &ctx.trace, "post_process", &stats)?;
 
-        // Everything past the paper's pipeline is timed as the
-        // post-process stage: the operator filters (whose exclusion
-        // lookups are real backend reads), ranking, and hit assembly.
-        let t = Instant::now();
-
-        // Operator post-filter stage: phrases, label filters,
-        // exclusions (no-op for plain keyword queries, which therefore
-        // reproduce the legacy path byte for byte).
+        // Everything past the paper's pipeline is the post-process
+        // stage. First the operator post-filters: phrases, label
+        // filters, exclusions (whose lookups are real backend reads; a
+        // no-op for plain keyword queries, which therefore reproduce
+        // the legacy path byte for byte).
         if !spec.is_plain() && !fragments.is_empty() {
             let before = fragments.len();
-            self.apply_post_filters(spec, &sets, &mut fragments)?;
+            let filtered = self.apply_post_filters(spec, &sets, &mut fragments);
+            ctx.trace.lap(Stage::PostFilter);
+            filtered?;
             stats.filtered_out = before - fragments.len();
-            ctx.trace.record_since(Stage::PostFilter, t);
         }
-        let t_rank = Instant::now();
 
         // Shape the response: cap, rank, truncate, materialize hits.
         stats.total_before_top_k = fragments.len();
@@ -316,38 +317,29 @@ impl SearchEngine {
                 })
                 .collect(),
         };
-        timings.post_process = t.elapsed();
-        ctx.trace.record_since(Stage::Rank, t_rank);
-        self.metrics.observe(&timings, &stats, hits.len());
-        Ok(SearchResponse {
-            hits,
-            timings,
-            stats,
-            trace: take_trace(ctx, traced),
-        })
+        ctx.trace.lap(Stage::Rank);
+        Ok((hits, stats))
     }
 
     /// `getKeywordNodes`: one postings lookup per keyword (one
-    /// [`Stage::PostingsDecode`] span each when traced) plus its sealed
-    /// statistics, whose shard-filter skips land in
-    /// `stats.shards_skipped`. Returns the keyword-node sets and whether
-    /// every term had sealed statistics, or `None` as soon as some
-    /// keyword matches nothing.
+    /// [`Stage::PostingsDecode`] span each, nested in the caller's
+    /// [`Stage::Resolve`] lap) plus its sealed statistics, whose
+    /// shard-filter skips land in `stats.shards_skipped`. Returns the
+    /// keyword-node sets and whether every term had sealed statistics,
+    /// or `None` as soon as some keyword matches nothing.
     fn resolve(
         &self,
         query: &Query,
         stats: &mut SearchStats,
         ctx: &mut QueryContext,
     ) -> Result<Option<(KeywordNodeSets, bool)>, SearchError> {
-        let traced = ctx.trace.is_enabled();
         let mut sets = Vec::with_capacity(query.len());
         let mut all_sealed = true;
         for kw in query.keywords() {
-            let t = traced.then(Instant::now);
-            let list = self.source.keyword_deweys(kw)?;
-            if let Some(t) = t {
-                ctx.trace.record_since(Stage::PostingsDecode, t);
-            }
+            let t = Instant::now();
+            let list = self.source.keyword_deweys(kw);
+            ctx.trace.record_since(Stage::PostingsDecode, t);
+            let list = list?;
             let sealed = self.source.keyword_stats(kw);
             all_sealed &= sealed.is_some();
             stats.shards_skipped += sealed.map_or(0, |s| s.shards_skipped);
@@ -363,28 +355,30 @@ impl SearchEngine {
     }
 
     /// The between-stage deadline check: free for requests without a
-    /// deadline, one `Instant::now()` otherwise. An expired deadline
-    /// becomes a typed [`SearchError::Timeout`] carrying the stats
-    /// accumulated so far (partial — enough for a server's `503` body)
-    /// and bumps the global `search.deadline_exceeded` counter.
+    /// deadline; otherwise it compares the deadline with the end of the
+    /// last stage (the trace's lap mark, so no extra clock read). An
+    /// expired deadline becomes a typed [`SearchError::Timeout`]
+    /// carrying the stats accumulated so far (partial — enough for a
+    /// server's `503` body) and bumps the global
+    /// `search.deadline_exceeded` counter.
     fn check_deadline(
         &self,
         deadline: Option<Instant>,
-        started: Instant,
+        trace: &xks_obs::QueryTrace,
         stage: &'static str,
         stats: &SearchStats,
     ) -> Result<(), SearchError> {
         let Some(deadline) = deadline else {
             return Ok(());
         };
-        let now = Instant::now();
+        let now = trace.mark();
         if now < deadline {
             return Ok(());
         }
         self.metrics.deadline_exceeded.inc();
         Err(SearchError::Timeout(Box::new(SearchTimeout {
             stage,
-            elapsed: now.saturating_duration_since(started),
+            elapsed: Duration::from_nanos(trace.offset_ns(now)),
             stats: stats.clone(),
         })))
     }
@@ -681,57 +675,42 @@ fn construct_bounded_topk(
 }
 
 /// The construct + prune step of one RTF, shared by the full and the
-/// bounded top-k loops. When traced it accumulates per-fragment
-/// durations (the clock is read only then) into one
-/// [`Stage::Construct`] and one [`Stage::Prune`] span, laid end to end
-/// by [`FragmentBuilder::record`]: the stages interleave per anchor, so
-/// honest per-iteration spans would explode the span buffer, while the
-/// aggregate keeps the totals exact.
+/// bounded top-k loops. It times only the prune calls (two clock reads
+/// per fragment); [`FragmentBuilder::lap`] then splits the whole
+/// construct phase into a [`Stage::Prune`] span of that length and a
+/// [`Stage::Construct`] span holding the rest — construction plus the
+/// top-k bound, scoring and ordering around it. The stages interleave
+/// per anchor, so per-iteration spans would explode the span buffer,
+/// while the split keeps both totals exact and the phase fully covered.
 struct FragmentBuilder<'a> {
     source: &'a dyn CorpusSource,
     policy: Policy,
-    /// Accumulated `(construct, prune)` nanoseconds; `None` untraced.
-    spent: Option<(u64, u64)>,
+    /// Nanoseconds spent pruning so far.
+    prune_ns: u64,
 }
 
 impl<'a> FragmentBuilder<'a> {
-    fn new(source: &'a dyn CorpusSource, policy: Policy, traced: bool) -> Self {
+    fn new(source: &'a dyn CorpusSource, policy: Policy) -> Self {
         FragmentBuilder {
             source,
             policy,
-            spent: traced.then_some((0, 0)),
+            prune_ns: 0,
         }
     }
 
     fn build(&mut self, rtf: &Rtf) -> Result<Fragment, SearchError> {
-        let Some((construct_ns, prune_ns)) = &mut self.spent else {
-            let raw = Fragment::construct_from_source(self.source, rtf)?;
-            return Ok(prune_owned(raw, self.policy));
-        };
-        let t = Instant::now();
         let raw = Fragment::construct_from_source(self.source, rtf)?;
-        let mid = Instant::now();
+        let t = Instant::now();
         let fragment = prune_owned(raw, self.policy);
-        *construct_ns += nanos(mid - t);
-        *prune_ns += nanos(mid.elapsed());
+        self.prune_ns += u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
         Ok(fragment)
     }
 
-    /// Records the accumulated spans from `phase_start` (no-op
-    /// untraced).
-    fn record(&self, ctx: &mut QueryContext, phase_start: Instant) {
-        if let Some((construct_ns, prune_ns)) = self.spent {
-            let base = ctx.trace.offset_ns(phase_start);
-            ctx.trace
-                .record_manual(Stage::Construct, base, construct_ns);
-            ctx.trace
-                .record_manual(Stage::Prune, base + construct_ns, prune_ns);
-        }
+    /// Closes the construct phase's trace lap.
+    fn lap(&self, ctx: &mut QueryContext) {
+        ctx.trace
+            .lap_split(Stage::Construct, Stage::Prune, self.prune_ns);
     }
-}
-
-fn nanos(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Handles into the global [`xks_obs`] registry, resolved once per
@@ -782,15 +761,26 @@ impl EngineMetrics {
         }
     }
 
-    /// Records one finished query from its already-computed timings
-    /// and stats — every query pays ~20 relaxed atomic RMWs here,
-    /// traced or not.
-    fn observe(&self, timings: &StageTimings, stats: &SearchStats, hits: usize) {
+    /// Records one request from the timings read off its trace: every
+    /// request counts in `search.queries` and the latency histograms;
+    /// the result counters read `done`, the hits and stats of a request
+    /// that succeeded. About 20 relaxed atomic RMWs, traced or not.
+    fn observe(&self, timings: &StageTimings, done: Option<&(Vec<Hit>, SearchStats)>) {
         self.queries.inc();
-        if hits == 0 {
+        self.total_ns.record_duration(timings.total());
+        self.get_keyword_nodes_ns
+            .record_duration(timings.get_keyword_nodes);
+        self.get_lca_ns.record_duration(timings.get_lca);
+        self.get_rtf_ns.record_duration(timings.get_rtf);
+        self.prune_rtf_ns.record_duration(timings.prune_rtf);
+        self.post_process_ns.record_duration(timings.post_process);
+        let Some((hits, stats)) = done else {
+            return;
+        };
+        if hits.is_empty() {
             self.empty.inc();
         }
-        self.hits.add(hits as u64);
+        self.hits.add(hits.len() as u64);
         if stats.truncated {
             self.truncated.inc();
         }
@@ -803,25 +793,7 @@ impl EngineMetrics {
             .add(u64::from(stats.shards_skipped));
         self.plan_topk_skipped
             .add(u64::from(stats.rtfs_skipped_topk));
-        self.total_ns.record_duration(timings.total());
-        self.get_keyword_nodes_ns
-            .record_duration(timings.get_keyword_nodes);
-        self.get_lca_ns.record_duration(timings.get_lca);
-        self.get_rtf_ns.record_duration(timings.get_rtf);
-        self.prune_rtf_ns.record_duration(timings.prune_rtf);
-        self.post_process_ns.record_duration(timings.post_process);
     }
-}
-
-/// Clones the context's trace into the response (traced requests only)
-/// and disarms it so the pooled context goes back clean. The clone is
-/// a fixed-size copy — no heap allocation.
-fn take_trace(ctx: &mut QueryContext, traced: bool) -> Option<xks_obs::QueryTrace> {
-    traced.then(|| {
-        let trace = ctx.trace.clone();
-        ctx.trace.disarm();
-        trace
-    })
 }
 
 /// Materializes ranked hits by **moving** fragments into rank order:

@@ -239,12 +239,13 @@ impl SearchRequest {
         self
     }
 
-    /// Enables per-query stage tracing: the response's
-    /// [`SearchResponse::trace`] carries a span per pipeline stage
-    /// (parse, per-keyword postings decode, merge/anchor, construct,
-    /// prune, rank). Tracing never changes results and stays on the
-    /// zero-allocation warm path; overhead is a few `Instant` reads
-    /// per query.
+    /// Asks for the stage trace in the response:
+    /// [`SearchResponse::trace`] then carries a copy of the span record
+    /// every request keeps (parse, per-keyword postings decode,
+    /// merge/anchor, construct, prune, rank). The record itself, and
+    /// the [`SearchResponse::timings`] read from it, exist either way,
+    /// so tracing never changes results or timings and costs only the
+    /// copy (an inline array, no heap allocation).
     #[must_use]
     pub fn trace(mut self, enabled: bool) -> Self {
         self.trace = enabled;
@@ -394,29 +395,20 @@ pub struct SearchResponse {
     /// The hits — best-first when the request ranked, document order
     /// otherwise.
     pub hits: Vec<Hit>,
-    /// Wall-clock per pipeline stage.
+    /// Wall-clock per pipeline stage, read off the request's span
+    /// record ([`StageTimings::from_trace`]).
     pub timings: StageTimings,
     /// Truncation / filtering / parse observability.
     pub stats: SearchStats,
-    /// The structured stage trace — `Some` exactly when the request
-    /// set [`SearchRequest::trace`]. Where [`SearchResponse::timings`]
-    /// is the coarse always-on summary, this is the fine-grained form:
-    /// ordered wall-time spans (including per-keyword postings
-    /// decodes) serializable to Chrome trace-event JSON.
+    /// The span record itself — `Some` exactly when the request set
+    /// [`SearchRequest::trace`]. [`SearchResponse::timings`] sums it
+    /// per stage; this is the fine-grained form: ordered wall-time
+    /// spans (including per-keyword postings decodes) serializable to
+    /// Chrome trace-event JSON.
     pub trace: Option<xks_obs::QueryTrace>,
 }
 
 impl SearchResponse {
-    /// An empty response (some query keyword matched nothing).
-    pub(crate) fn empty(timings: StageTimings, stats: SearchStats) -> Self {
-        SearchResponse {
-            hits: Vec::new(),
-            timings,
-            stats,
-            trace: None,
-        }
-    }
-
     /// The hit fragments, in response order.
     pub fn fragments(&self) -> impl Iterator<Item = &Fragment> {
         self.hits.iter().map(|h| &h.fragment)

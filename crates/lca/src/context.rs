@@ -4,8 +4,8 @@
 //! halves: a shared **immutable** index handle (`CorpusSource` backends
 //! — safe to share across threads behind an `Arc`) and a per-thread
 //! [`QueryContext`] owning every buffer a query mutates — the merged
-//! posting stream, the anchor list, the ELCA mask stack, and a decode
-//! arena for backends that materialize posting runs per query. One
+//! posting stream, the anchor list, the ELCA mask stack, the gallop
+//! scratch, and the query's timing record. One
 //! context per thread means the anchor pipeline stays allocation-free
 //! when warm (asserted by the workspace's counting-allocator test)
 //! *without* any lock on the hot path.
@@ -15,7 +15,7 @@
 //! [`slca_into_context`] can accept it directly and higher layers
 //! (`validrtf`'s engine and executor) reuse the same type.
 
-use xks_xmltree::{Dewey, DeweyListBuf};
+use xks_xmltree::Dewey;
 
 use crate::common::merge_postings_into;
 use crate::elca::{elca_from_merged, ElcaScratch};
@@ -39,23 +39,15 @@ pub struct QueryContext {
     pub anchors: Vec<Dewey>,
     /// The ELCA stack's mask/path buffers.
     pub elca: ElcaScratch,
-    /// Per-context postings decode arena. Disk backends expose a
-    /// cache-bypassing decode into a caller-owned arena
-    /// (`xks-persist`'s `IndexReader::keyword_postings_into`); callers
-    /// that want per-thread isolation from the shared postings LRU
-    /// (e.g. vocabulary scans that would churn it) decode into this
-    /// buffer instead — a warm arena re-decodes without allocating and
-    /// without taking any cache lock.
-    pub postings: DeweyListBuf,
     /// Scratch buffers for the planner's galloping anchor pass
     /// ([`planned_elca_into_context`]); untouched on the legacy merge
     /// path.
     pub gallop: GallopScratch,
-    /// Per-query stage tracer. Storage is inline (a fixed span array),
-    /// so carrying it costs nothing when disarmed and recording into
-    /// it allocates nothing when armed — the engine arms it for traced
-    /// requests and disarms it otherwise, preserving the context's
-    /// zero-allocation warm path either way.
+    /// The per-query timing record. The engine restarts it for every
+    /// request and records each stage into it, traced or not; a traced
+    /// response carries a copy. Storage is inline (a fixed span array),
+    /// so recording allocates nothing and the context's warm path
+    /// stays allocation-free.
     pub trace: xks_obs::QueryTrace,
 }
 

@@ -293,6 +293,7 @@ pub fn fault_sync_dir(injector: &Injector, label: &str, path: &Path) -> io::Resu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tempdir::TempDir;
 
     #[test]
     fn none_never_fires() {
@@ -332,8 +333,7 @@ mod tests {
 
     #[test]
     fn short_write_tears_the_file_then_dies() {
-        let dir = std::env::temp_dir().join("xks-fault-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("fault-test");
         let path = dir.join("torn.bin");
         let inj = Injector::arm(0, FaultKind::ShortWrite);
         let mut file = FaultFile::create(&path, inj.clone(), "wal").unwrap();

@@ -46,7 +46,7 @@
 //!     "<pubs><paper><title>xml keyword search</title></paper></pubs>",
 //! )
 //! .unwrap();
-//! let path = std::env::temp_dir().join("xks-persist-doctest.xks");
+//! let path = std::env::temp_dir().join(format!("xks-doc-{}.xks", std::process::id()));
 //! IndexWriter::new().write_tree(&tree, &path).unwrap();
 //!
 //! let reader = IndexReader::open(&path).unwrap();
@@ -70,6 +70,9 @@ pub mod mutable;
 pub mod pool;
 pub mod reader;
 pub mod shard;
+#[cfg(test)]
+#[path = "../../../tests/common/tempdir.rs"]
+mod tempdir;
 pub mod wal;
 pub mod writer;
 

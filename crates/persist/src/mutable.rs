@@ -707,13 +707,16 @@ fn remove_best_effort(paths: &[PathBuf]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tempdir::TempDir;
     use validrtf::engine::SearchEngine;
     use validrtf::SearchRequest;
 
-    fn temp_corpus(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("xks-mutable-test").join(name);
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    /// A corpus directory path (not yet created) inside a fresh
+    /// scratch directory.
+    fn temp_corpus(name: &str) -> (TempDir, PathBuf) {
+        let tmp = TempDir::new("mutable-test");
+        let dir = tmp.join(name);
+        (tmp, dir)
     }
 
     fn hits(source: Arc<MutableSource>, query: &str) -> usize {
@@ -727,7 +730,7 @@ mod tests {
 
     #[test]
     fn create_insert_reopen_replays() {
-        let dir = temp_corpus("replay");
+        let (_tmp, dir) = temp_corpus("replay");
         {
             let mut corpus = MutableCorpus::create(&dir, "pubs").unwrap();
             corpus
@@ -749,7 +752,7 @@ mod tests {
 
     #[test]
     fn compact_seals_delta_and_resets_wal() {
-        let dir = temp_corpus("compact");
+        let (_tmp, dir) = temp_corpus("compact");
         let mut corpus = MutableCorpus::create(&dir, "pubs").unwrap();
         for i in 0..6 {
             corpus
@@ -790,7 +793,7 @@ mod tests {
 
     #[test]
     fn reopen_after_compact_uses_the_base() {
-        let dir = temp_corpus("reopen-base");
+        let (_tmp, dir) = temp_corpus("reopen-base");
         {
             let mut corpus = MutableCorpus::create(&dir, "pubs").unwrap();
             corpus
@@ -814,7 +817,7 @@ mod tests {
 
     #[test]
     fn reopen_after_compacted_middle_hole_never_reissues_a_live_ordinal() {
-        let dir = temp_corpus("middle-hole");
+        let (_tmp, dir) = temp_corpus("middle-hole");
         {
             let mut corpus = MutableCorpus::create(&dir, "pubs").unwrap();
             for i in 0..3 {
@@ -845,7 +848,7 @@ mod tests {
         // Reconstruct the exact crash window: manifest swapped, WAL not
         // yet reset. The old log's records are all sealed in the new
         // base, so recovery must discard it rather than replay.
-        let dir = temp_corpus("stale-wal");
+        let (_tmp, dir) = temp_corpus("stale-wal");
         let mut corpus = MutableCorpus::create(&dir, "pubs").unwrap();
         for i in 0..3 {
             corpus
@@ -891,7 +894,7 @@ mod tests {
 
     #[test]
     fn double_create_is_rejected() {
-        let dir = temp_corpus("double-create");
+        let (_tmp, dir) = temp_corpus("double-create");
         let _first = MutableCorpus::create(&dir, "pubs").unwrap();
         assert!(matches!(
             MutableCorpus::create(&dir, "pubs"),

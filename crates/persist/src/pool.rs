@@ -331,15 +331,15 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tempdir::TempDir;
     use std::io::Write as _;
 
-    fn temp_file(bytes: &[u8], name: &str) -> (File, u64) {
-        let dir = std::env::temp_dir().join("xks-persist-pool-test");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn temp_file(bytes: &[u8], name: &str) -> (TempDir, File, u64) {
+        let dir = TempDir::new("pool-test");
         let path = dir.join(name);
         let mut f = File::create(&path).unwrap();
         f.write_all(bytes).unwrap();
-        (File::open(&path).unwrap(), bytes.len() as u64)
+        (dir, File::open(&path).unwrap(), bytes.len() as u64)
     }
 
     #[test]
@@ -351,7 +351,7 @@ mod tests {
     #[test]
     fn read_spanning_pages() {
         let bytes: Vec<u8> = (0..=255u8).collect();
-        let (file, len) = temp_file(&bytes, "span.bin");
+        let (_dir, file, len) = temp_file(&bytes, "span.bin");
         let pool = BufferPool::new(file, len, 64, 8);
         // Range [60, 200) crosses pages 0..=3 of 64 bytes.
         let got = pool.read_at(60, 140).unwrap();
@@ -362,7 +362,7 @@ mod tests {
     #[test]
     fn cache_hits_do_not_reread() {
         let bytes = vec![7u8; 1024];
-        let (file, len) = temp_file(&bytes, "hits.bin");
+        let (_dir, file, len) = temp_file(&bytes, "hits.bin");
         let pool = BufferPool::new(file, len, 256, 8);
         pool.read_at(0, 10).unwrap();
         pool.read_at(5, 10).unwrap();
@@ -376,7 +376,7 @@ mod tests {
     #[test]
     fn lru_evicts_oldest_in_shard() {
         let bytes = vec![1u8; 64 * 64];
-        let (file, len) = temp_file(&bytes, "lru.bin");
+        let (_dir, file, len) = temp_file(&bytes, "lru.bin");
         // Capacity 8 = 1 frame per shard: two pages in the same shard
         // evict each other, pages in different shards coexist.
         let pool = BufferPool::new(file, len, 64, 8);
@@ -424,7 +424,7 @@ mod tests {
     #[test]
     fn short_final_page_is_padded() {
         let bytes = vec![9u8; 100];
-        let (file, len) = temp_file(&bytes, "short.bin");
+        let (_dir, file, len) = temp_file(&bytes, "short.bin");
         let pool = BufferPool::new(file, len, 64, 8);
         let got = pool.read_at(64, 36).unwrap();
         assert_eq!(got, &bytes[64..100]);
@@ -433,7 +433,7 @@ mod tests {
     #[test]
     fn read_past_end_is_truncated_error() {
         let bytes = vec![0u8; 100];
-        let (file, len) = temp_file(&bytes, "past.bin");
+        let (_dir, file, len) = temp_file(&bytes, "past.bin");
         let pool = BufferPool::new(file, len, 64, 8);
         assert!(matches!(
             pool.read_at(90, 20),
@@ -448,7 +448,7 @@ mod tests {
     #[test]
     fn concurrent_reads_agree_and_count() {
         let bytes: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
-        let (file, len) = temp_file(&bytes, "mt.bin");
+        let (_dir, file, len) = temp_file(&bytes, "mt.bin");
         // 256 frames = 32 per shard: the 64-page working set fits even
         // under a skewed hash distribution, so no page is ever fetched
         // twice.

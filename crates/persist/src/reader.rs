@@ -529,11 +529,10 @@ impl IndexReader {
     }
 
     /// Decodes `keyword`'s posting run directly into a **caller-owned**
-    /// arena, bypassing the shared decoded-postings cache entirely —
-    /// the per-context decode path (`xks_lca::QueryContext::postings`):
-    /// a warm arena re-decodes without allocating and without taking
-    /// the cache lock, which suits vocabulary-scan workloads whose
-    /// keywords would only churn the shared LRU. Returns the number of
+    /// arena, bypassing the shared decoded-postings cache entirely: a
+    /// warm arena re-decodes without allocating and without taking the
+    /// cache lock, which suits vocabulary-scan workloads whose keywords
+    /// would only churn the shared LRU. Returns the number of
     /// codes decoded; `buf` is cleared first.
     pub fn keyword_postings_into(
         &self,
@@ -999,27 +998,28 @@ impl xks_obs::MetricSource for IndexReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tempdir::TempDir;
     use crate::writer::IndexWriter;
     use xks_store::shred;
     use xks_xmltree::fixtures::{publications, team};
 
-    fn temp_path(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("xks-persist-reader-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    fn temp_path(name: &str) -> (TempDir, PathBuf) {
+        let dir = TempDir::new("reader-test");
+        let path = dir.join(name);
+        (dir, path)
     }
 
-    fn open_publications(name: &str) -> (IndexReader, PathBuf) {
-        let path = temp_path(name);
+    fn open_publications(name: &str) -> (TempDir, IndexReader, PathBuf) {
+        let (dir, path) = temp_path(name);
         IndexWriter::new()
             .write_tree(&publications(), &path)
             .unwrap();
-        (IndexReader::open(&path).unwrap(), path)
+        (dir, IndexReader::open(&path).unwrap(), path)
     }
 
     #[test]
     fn open_reads_only_header_and_labels() {
-        let (reader, path) = open_publications("lazy-open.xks");
+        let (_dir, reader, path) = open_publications("lazy-open.xks");
         let stats = reader.stats();
         assert_eq!(stats.pool.pages_read, 0, "no pool pages at open");
         assert!(stats.label_count > 5);
@@ -1029,7 +1029,7 @@ mod tests {
 
     #[test]
     fn keyword_lookup_matches_store() {
-        let (reader, path) = open_publications("kw.xks");
+        let (_dir, reader, path) = open_publications("kw.xks");
         let doc = shred(&publications());
         for kw in ["liu", "keyword", "xml", "title", "skyline"] {
             let got: Vec<String> = reader
@@ -1052,7 +1052,7 @@ mod tests {
 
     #[test]
     fn element_lookup_matches_store() {
-        let (reader, path) = open_publications("elem.xks");
+        let (_dir, reader, path) = open_publications("elem.xks");
         let doc = shred(&publications());
         for row in &doc.elements {
             let dewey: Dewey = row.dewey.parse().unwrap();
@@ -1074,8 +1074,8 @@ mod tests {
         // Write the same corpus at format v1 (no dictionary document
         // frequencies) and v2: every lookup must agree, and
         // `keyword_stats` on v1 must derive the df that v2 stores.
-        let v1_path = temp_path("compat-v1.xks");
-        let v2_path = temp_path("compat-v2.xks");
+        let (_v1_dir, v1_path) = temp_path("compat-v1.xks");
+        let (_v2_dir, v2_path) = temp_path("compat-v2.xks");
         IndexWriter::new()
             .with_format_version(1)
             .unwrap()
@@ -1126,7 +1126,7 @@ mod tests {
 
     #[test]
     fn corpus_source_impl_serves_engine_facts() {
-        let (reader, path) = open_publications("source.xks");
+        let (_dir, reader, path) = open_publications("source.xks");
         let title = CorpusSource::element(&reader, &"0.2.0.1".parse().unwrap())
             .unwrap()
             .unwrap();
@@ -1137,7 +1137,7 @@ mod tests {
 
     #[test]
     fn postings_cache_serves_repeats_without_page_reads() {
-        let (reader, path) = open_publications("postings-cache.xks");
+        let (_dir, reader, path) = open_publications("postings-cache.xks");
         let first = reader.try_keyword_deweys("keyword").unwrap();
         let after_first = reader.stats();
         assert_eq!(after_first.postings_cache_misses, 1);
@@ -1161,7 +1161,7 @@ mod tests {
 
     #[test]
     fn keyword_postings_into_bypasses_shared_cache() {
-        let (reader, path) = open_publications("ctx-decode.xks");
+        let (_dir, reader, path) = open_publications("ctx-decode.xks");
         let mut arena = DeweyListBuf::new();
         for kw in ["keyword", "liu", "keyword", "unobtainium"] {
             let n = reader.keyword_postings_into(kw, &mut arena).unwrap();
@@ -1184,7 +1184,7 @@ mod tests {
 
     #[test]
     fn postings_cache_evicts_least_recently_used() {
-        let path = temp_path("postings-cache-evict.xks");
+        let (_dir, path) = temp_path("postings-cache-evict.xks");
         IndexWriter::new()
             .write_tree(&publications(), &path)
             .unwrap();
@@ -1219,7 +1219,7 @@ mod tests {
 
     #[test]
     fn concurrent_lookups_share_one_reader() {
-        let (reader, path) = open_publications("mt-reader.xks");
+        let (_dir, reader, path) = open_publications("mt-reader.xks");
         let doc = shred(&publications());
         std::thread::scope(|scope| {
             for _ in 0..4 {
@@ -1253,7 +1253,7 @@ mod tests {
 
     #[test]
     fn verify_passes_on_clean_file() {
-        let path = temp_path("verify.xks");
+        let (_dir, path) = temp_path("verify.xks");
         IndexWriter::new().write_tree(&team(), &path).unwrap();
         let reader = IndexReader::open(&path).unwrap();
         reader.verify().unwrap();
@@ -1262,7 +1262,7 @@ mod tests {
 
     #[test]
     fn small_pool_still_answers_with_evictions() {
-        let path = temp_path("small-pool.xks");
+        let (_dir, path) = temp_path("small-pool.xks");
         IndexWriter::with_page_size(512)
             .unwrap()
             .write_tree(&publications(), &path)

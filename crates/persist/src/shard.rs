@@ -490,28 +490,21 @@ impl CorpusSource for ShardedCorpus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tempdir::TempDir;
     use xks_store::shred;
     use xks_xmltree::fixtures::publications;
 
-    fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join("xks-persist-shard-test")
-            .join(name);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    fn write_publications(name: &str, shards: usize) -> (ShardedWriteSummary, PathBuf) {
-        let dir = temp_dir(name);
+    fn write_publications(name: &str, shards: usize) -> (TempDir, ShardedWriteSummary, PathBuf) {
+        let dir = TempDir::new(name);
         let doc = shred(&publications());
         let path = dir.join("corpus.xksm");
         let summary = write_sharded(&IndexWriter::new(), &doc, &path, shards).unwrap();
-        (summary, path)
+        (dir, summary, path)
     }
 
     #[test]
     fn manifest_round_trips() {
-        let (summary, _) = write_publications("round-trip", 2);
+        let (_dir, summary, _) = write_publications("round-trip", 2);
         let bytes = summary.manifest.encode();
         assert_eq!(ShardManifest::decode(&bytes).unwrap(), summary.manifest);
         assert_eq!(summary.manifest.shards.len(), 2);
@@ -549,7 +542,7 @@ mod tests {
 
     #[test]
     fn v1_manifest_still_opens_without_filters() {
-        let (summary, path) = write_publications("v1-compat", 2);
+        let (_dir, summary, path) = write_publications("v1-compat", 2);
 
         // Decode of hand-built v1 bytes: topology intact, planner
         // stats absent (zero postings, no filter).
@@ -596,7 +589,7 @@ mod tests {
 
     #[test]
     fn sharded_corpus_matches_memory_backend() {
-        let (_, path) = write_publications("differential", 3);
+        let (_dir, _, path) = write_publications("differential", 3);
         let corpus = ShardedCorpus::open(&path).unwrap();
         assert_eq!(corpus.shard_count(), 3);
         let doc = shred(&publications());
@@ -622,7 +615,7 @@ mod tests {
 
     #[test]
     fn every_shard_is_a_valid_standalone_index() {
-        let (summary, path) = write_publications("standalone", 2);
+        let (_dir, summary, path) = write_publications("standalone", 2);
         let dir = path.parent().unwrap();
         let mut elements = 0u64;
         for entry in &summary.manifest.shards {
@@ -637,7 +630,7 @@ mod tests {
 
     #[test]
     fn corrupted_manifest_is_rejected_typed() {
-        let (_, path) = write_publications("corrupt", 2);
+        let (_dir, _, path) = write_publications("corrupt", 2);
         let clean = std::fs::read(&path).unwrap();
 
         // Any single byte flip must be caught (magic, version, or CRC).
@@ -665,7 +658,7 @@ mod tests {
         ));
 
         // A re-sealed manifest with a broken topology is still typed.
-        let (summary, _) = write_publications("corrupt-topo", 2);
+        let (_dir, summary, _) = write_publications("corrupt-topo", 2);
         let mut manifest = summary.manifest.clone();
         manifest.shards[1].first_doc = 0;
         assert!(matches!(
@@ -682,7 +675,7 @@ mod tests {
 
     #[test]
     fn missing_shard_file_fails_open() {
-        let (summary, path) = write_publications("missing-shard", 2);
+        let (_dir, summary, path) = write_publications("missing-shard", 2);
         let dir = path.parent().unwrap().to_owned();
         std::fs::remove_file(dir.join(&summary.manifest.shards[1].file_name)).unwrap();
         assert!(matches!(
@@ -695,7 +688,7 @@ mod tests {
     fn mismatched_shard_file_fails_open() {
         // Swap shard 1 for a foreign index: the manifest cross-check
         // must reject it even though the file itself is valid.
-        let (summary, path) = write_publications("swapped-shard", 2);
+        let (_dir, summary, path) = write_publications("swapped-shard", 2);
         let dir = path.parent().unwrap().to_owned();
         IndexWriter::new()
             .write_tree(
@@ -711,7 +704,7 @@ mod tests {
 
     #[test]
     fn shard_count_clamps_to_documents() {
-        let (summary, path) = write_publications("clamped", 64);
+        let (_dir, summary, path) = write_publications("clamped", 64);
         assert!(summary.manifest.shards.len() <= 64);
         let corpus = ShardedCorpus::open(&path).unwrap();
         assert_eq!(corpus.shard_count(), summary.manifest.shards.len());

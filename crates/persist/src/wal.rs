@@ -388,11 +388,12 @@ fn tmp_path(path: &Path) -> PathBuf {
 mod tests {
     use super::*;
     use crate::fault::FaultKind;
+    use crate::tempdir::TempDir;
 
-    fn temp_wal(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("xks-wal-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    fn temp_wal(name: &str) -> (TempDir, PathBuf) {
+        let dir = TempDir::new("wal-test");
+        let path = dir.join(name);
+        (dir, path)
     }
 
     fn sample_records() -> Vec<WalRecord> {
@@ -410,7 +411,7 @@ mod tests {
 
     #[test]
     fn append_then_open_round_trips() {
-        let path = temp_wal("round-trip.wal");
+        let (_dir, path) = temp_wal("round-trip.wal");
         let records = sample_records();
         {
             let mut wal = Wal::create(&path, 7, Injector::none()).unwrap();
@@ -428,7 +429,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated_and_reappendable() {
-        let path = temp_wal("torn.wal");
+        let (_dir, path) = temp_wal("torn.wal");
         {
             let mut wal = Wal::create(&path, 0, Injector::none()).unwrap();
             for r in &sample_records() {
@@ -452,7 +453,7 @@ mod tests {
 
     #[test]
     fn valid_crc_with_garbage_payload_is_typed_corruption() {
-        let path = temp_wal("corrupt.wal");
+        let (_dir, path) = temp_wal("corrupt.wal");
         {
             Wal::create(&path, 0, Injector::none()).unwrap();
         }
@@ -471,7 +472,7 @@ mod tests {
 
     #[test]
     fn failed_append_rolls_back_and_handle_survives() {
-        let path = temp_wal("failed-append.wal");
+        let (_dir, path) = temp_wal("failed-append.wal");
         let mut wal = Wal::create(&path, 0, Injector::none()).unwrap();
         wal.append(&sample_records()[0]).unwrap();
         let durable = wal.len();

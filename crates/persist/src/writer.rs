@@ -231,17 +231,18 @@ fn encode_keywords(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tempdir::TempDir;
     use xks_xmltree::fixtures::publications;
 
-    fn temp_path(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("xks-persist-writer-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    fn temp_path(name: &str) -> (TempDir, std::path::PathBuf) {
+        let dir = TempDir::new("writer-test");
+        let path = dir.join(name);
+        (dir, path)
     }
 
     #[test]
     fn writes_page_aligned_sections() {
-        let path = temp_path("aligned.xks");
+        let (_dir, path) = temp_path("aligned.xks");
         let summary = IndexWriter::new()
             .write_tree(&publications(), &path)
             .unwrap();
@@ -268,7 +269,7 @@ mod tests {
 
     #[test]
     fn header_round_trips_through_file() {
-        let path = temp_path("header.xks");
+        let (_dir, path) = temp_path("header.xks");
         IndexWriter::with_page_size(512)
             .unwrap()
             .write_tree(&publications(), &path)

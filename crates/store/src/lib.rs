@@ -24,6 +24,9 @@ pub mod partition;
 pub mod shred;
 pub mod snapshot;
 pub mod tables;
+#[cfg(test)]
+#[path = "../../../tests/common/tempdir.rs"]
+mod tempdir;
 
 pub use partition::{partition, CorpusPart};
 pub use shred::{shred, shred_document};

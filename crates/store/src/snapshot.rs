@@ -236,13 +236,13 @@ fn get_u32(v: &Value, key: &str) -> Result<u32, SnapshotError> {
 mod tests {
     use super::*;
     use crate::shred::shred;
+    use crate::tempdir::TempDir;
     use xks_xmltree::fixtures::{publications, team};
 
     #[test]
     fn save_load_round_trip() {
         let doc = shred(&publications());
-        let dir = std::env::temp_dir().join("xks-store-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("store-test");
         let path = dir.join("pubs.json");
         save(&doc, &path).unwrap();
         let loaded = load(&path).unwrap();
@@ -260,8 +260,7 @@ mod tests {
 
     #[test]
     fn load_rejects_garbage() {
-        let dir = std::env::temp_dir().join("xks-store-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("store-test");
         let path = dir.join("garbage.json");
         std::fs::write(&path, "not json").unwrap();
         assert!(matches!(load(&path), Err(SnapshotError::Format(_))));
@@ -270,8 +269,7 @@ mod tests {
 
     #[test]
     fn load_rejects_wrong_schema() {
-        let dir = std::env::temp_dir().join("xks-store-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("store-test");
         let path = dir.join("schema.json");
         std::fs::write(&path, r#"{"labels": [1, 2]}"#).unwrap();
         assert!(matches!(load(&path), Err(SnapshotError::Schema(_))));
@@ -280,15 +278,15 @@ mod tests {
 
     #[test]
     fn load_missing_file_is_io_error() {
-        let path = std::env::temp_dir().join("xks-store-test/definitely-missing.json");
+        let dir = TempDir::new("store-test");
+        let path = dir.join("definitely-missing.json");
         assert!(matches!(load(&path), Err(SnapshotError::Io(_))));
     }
 
     #[test]
     fn team_round_trip_preserves_stats() {
         let doc = shred(&team());
-        let dir = std::env::temp_dir().join("xks-store-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("store-test");
         let path = dir.join("team.json");
         save(&doc, &path).unwrap();
         let loaded = load(&path).unwrap();

@@ -33,6 +33,9 @@ pub mod label;
 pub mod parser;
 pub mod stem;
 pub mod stopwords;
+#[cfg(test)]
+#[path = "../../../tests/common/tempdir.rs"]
+mod tempdir;
 pub mod tokenizer;
 pub mod tree;
 pub mod writer;

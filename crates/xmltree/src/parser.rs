@@ -619,11 +619,11 @@ mod tests {
 #[cfg(test)]
 mod file_tests {
     use super::*;
+    use crate::tempdir::TempDir;
 
     #[test]
     fn parse_file_round_trip() {
-        let dir = std::env::temp_dir().join("xks-xmltree-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("xmltree-test");
         let path = dir.join("doc.xml");
         std::fs::write(&path, "<a><b>text</b></a>").unwrap();
         let tree = parse_file(&path).unwrap();
@@ -636,8 +636,7 @@ mod file_tests {
         let missing = std::path::Path::new("/definitely/not/here.xml");
         assert!(matches!(parse_file(missing), Err(ParseFileError::Io(_))));
 
-        let dir = std::env::temp_dir().join("xks-xmltree-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TempDir::new("xmltree-test");
         let path = dir.join("bad.xml");
         std::fs::write(&path, "<a><b></a>").unwrap();
         assert!(matches!(parse_file(&path), Err(ParseFileError::Parse(_))));
